@@ -1,11 +1,13 @@
 /**
  * @file
  * Micro-benchmark: batched multi-head attention (Taylor vs softmax vs
- * unified) at the DeiT-Tiny/Small/Base shapes, batch sizes {1, 4, 16},
+ * unified) at the DeiT-Tiny/Small/Base shapes, batch sizes {1, 4, 16}
+ * (MultiHeadAttention::forwardRaggedInto over B same-size images),
  * plus single-image end-to-end VitEncoder rows ("Encoder(<kernel>)",
- * batch 1) that run the full 12-layer stack — the fused-epilogue dense
- * projections/MLP and the intra-GEMM row-band fan-out that the
- * MHA-only rows never exercise — and ragged-path encoder rows
+ * batch 1) that run the full 12-layer stack through the encoder's
+ * compiled plan — the fused-epilogue prepacked dense projections/MLP
+ * and the intra-GEMM row-band fan-out that the MHA-only rows never
+ * exercise — and ragged-path encoder rows
  * ("RaggedEncoder(Taylor)") sweeping the token-keep ratio over
  * {1.0, 0.7, 0.5, 0.35}. Ragged rows carry "ragged": true, their
  * "keep_ratio", and "tokens_per_s" (input token rows per second, the
@@ -13,15 +15,11 @@
  * checker keys rows on keep_ratio/ragged so pruned and unpruned runs
  * never gate against each other.
  *
- * Compiled-plan rows ("PlannedEncoder(Taylor)", batch 1) measure the
- * same single-image forward on two seed-identical encoders with laps
- * interleaved — eager ("prepack": "off") against a compiled uniform
- * plan ("prepack": "on"), paired so shared-host drift cancels out of
- * the comparison — plus a third encoder under the paper-style hybrid
+ * A hybrid-schedule row ("PlannedEncoder(Taylor)", batch 1, "prepack":
+ * "on") measures the same single-image forward under the paper-style
  * schedule taylor:0-5,softmax:6-11 (keyed by its "layers" text). The
  * regression checker keys on prepack/layers the same way it keys on
- * keep_ratio, so the eager baseline, the prepacked plan, and the
- * hybrid never gate against each other.
+ * keep_ratio, so the hybrid never gates against the uniform rows.
  *
  * For each (model, kernel, batch) triple the bench runs the pooled
  * batched multi-head forward over packed inputs and reports mean and
@@ -83,7 +81,6 @@
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
 #include "sparse/csr.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/matrix.h"
 #include "tensor/ragged_batch.h"
@@ -111,7 +108,7 @@ struct Result
     bool ragged = false; // ran through the variable-token path
     double keepRatio = -1.0;    // token-keep ratio; -1 = no pruning sweep
     double tokensPerSec = -1.0; // input token rows / s; -1 = n/a
-    int prepack = -1;    // planned rows: 1 = compiled plan, 0 = eager
+    int prepack = -1;    // 1 on the hybrid row (its historical key)
     std::string layers;  // planned kernel schedule; empty = uniform
     OpCounts counts;     // per image (all heads, one layer)
 };
@@ -285,23 +282,24 @@ main(int argc, char **argv)
             vs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng));
         }
 
-        // The inputs depend only on (model, batch); build each sliced
-        // view once instead of re-copying it per kernel.
+        // The inputs depend only on (model, batch); pack each batch
+        // once instead of re-copying it per kernel.
         struct BatchInputs
         {
             size_t batch;
-            Batch q, k, v;
+            RaggedBatch q, k, v;
+        };
+        const auto pack = [](const std::vector<Matrix> &images,
+                             size_t batch) {
+            std::vector<const Matrix *> ptrs;
+            for (size_t b = 0; b < batch; ++b)
+                ptrs.push_back(&images[b]);
+            return RaggedBatch::fromMatrices(ptrs.data(), batch);
         };
         std::vector<BatchInputs> inputs;
         for (size_t batch : batchSizes) {
-            inputs.push_back(
-                {batch,
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     qs.begin(), qs.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     ks.begin(), ks.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     vs.begin(), vs.begin() + batch))});
+            inputs.push_back({batch, pack(qs, batch), pack(ks, batch),
+                              pack(vs, batch)});
         }
 
         // Single-image end-to-end encoder rows: the 12-layer dense path
@@ -353,107 +351,67 @@ main(int argc, char **argv)
                    res.imagesPerSec, res.gflopsPerSec);
         }
 
-        // Compiled-plan encoder rows ("PlannedEncoder(Taylor)", batch
-        // 1). The prepack pair is PAIRED lap for lap: two encoders
-        // from the same seed (bitwise-identical weights and outputs),
-        // one eager ("prepack": "off") and one through a compiled
-        // uniform plan ("prepack": "on"), alternate within every rep —
-        // the effect is a few percent while shared-host drift over a
-        // sequential pair of phases can exceed it, and interleaving
-        // cancels the drift out of the comparison. The uniform plan
-        // pins an engaged-empty schedule so an ambient VITALITY_LAYERS
-        // cannot skew the pair. A third encoder runs the paper-style
-        // hybrid schedule (linear Taylor early, exact softmax late),
-        // keyed by its "layers" text; analytic counts stay the
-        // base-kernel program (as on the pruned ragged rows), so the
-        // hybrid row's GFLOP/s reads as effective throughput.
+        // Hybrid-schedule encoder row ("PlannedEncoder(Taylor)", batch
+        // 1): the paper-style schedule (linear Taylor early, exact
+        // softmax late), keyed by its "layers" text. Analytic counts
+        // stay the base-kernel program (as on the pruned ragged rows),
+        // so its GFLOP/s reads as effective throughput.
         {
             const std::string hybrid = "taylor:0-5,softmax:6-11";
-            const auto pushPlanned = [&](const char *label, int prepack,
-                                         const std::string &layers,
-                                         std::vector<double> laps,
-                                         const VitEncoder &enc) {
-                double mean_ms = 0.0;
-                for (double lap : laps)
-                    mean_ms += lap;
-                mean_ms /= static_cast<double>(laps.size());
-                const double median_ms = median(laps);
-
-                Result res;
-                res.model = cfg.name;
-                res.kernel = "PlannedEncoder(Taylor)";
-                res.tokens = cfg.tokens;
-                res.heads = cfg.heads;
-                res.headDim = cfg.headDim();
-                res.batch = 1;
-                res.reps = reps;
-                res.wallMsMean = mean_ms;
-                res.wallMsMedian = median_ms;
-                res.imagesPerSec =
-                    median_ms > 0.0 ? 1.0 / (median_ms * 1e-3) : 0.0;
-                res.maskDensity = -1.0;
-                res.prepack = prepack;
-                res.layers = layers;
-                res.counts = enc.opCounts();
-                res.gflopsPerSec =
-                    median_ms > 0.0
-                        ? static_cast<double>(res.counts.flops()) /
-                              (median_ms * 1e6)
-                        : 0.0;
-                results.push_back(res);
-
-                inform("%-10s PlannedEnc %-14s %8.3f ms/img   "
-                       "%8.1f img/s  %7.2f GFLOP/s",
-                       cfg.name.c_str(), label, median_ms,
-                       res.imagesPerSec, res.gflopsPerSec);
-            };
-
-            VitEncoder eagerEnc(cfg,
-                                makeAttention(AttentionType::Taylor),
-                                0x5eed);
-            VitEncoder plannedEnc(cfg,
-                                  makeAttention(AttentionType::Taylor),
-                                  0x5eed);
-            PlanOptions uniform;
-            uniform.layerKernels = std::string(); // pin uniform
-            plannedEnc.compilePlan(uniform);
-            Matrix out;
-            eagerEnc.forwardInto(qs[0], pool, out); // warmup both
-            plannedEnc.forwardInto(qs[0], pool, out);
-            std::vector<double> offLaps(static_cast<size_t>(reps));
-            std::vector<double> onLaps(static_cast<size_t>(reps));
-            for (int r = 0; r < reps; ++r) {
-                double t0 = nowMs();
-                eagerEnc.forwardInto(qs[0], pool, out);
-                offLaps[static_cast<size_t>(r)] = nowMs() - t0;
-                t0 = nowMs();
-                plannedEnc.forwardInto(qs[0], pool, out);
-                onLaps[static_cast<size_t>(r)] = nowMs() - t0;
-            }
-            pushPlanned("prepack=off", 0, "", offLaps, eagerEnc);
-            pushPlanned("prepack=on", 1, "", onLaps, plannedEnc);
-
             VitEncoder hybridEnc(cfg,
                                  makeAttention(AttentionType::Taylor),
                                  0x5eed);
             PlanOptions heteroOpts;
             heteroOpts.layerKernels = hybrid;
             hybridEnc.compilePlan(heteroOpts);
+            Matrix out;
             hybridEnc.forwardInto(qs[0], pool, out); // warmup
-            std::vector<double> hybridLaps(static_cast<size_t>(reps));
+            std::vector<double> laps(static_cast<size_t>(reps));
             for (int r = 0; r < reps; ++r) {
                 const double t0 = nowMs();
                 hybridEnc.forwardInto(qs[0], pool, out);
-                hybridLaps[static_cast<size_t>(r)] = nowMs() - t0;
+                laps[static_cast<size_t>(r)] = nowMs() - t0;
             }
-            pushPlanned("hybrid", 1, hybrid, hybridLaps, hybridEnc);
+            double mean_ms = 0.0;
+            for (double lap : laps)
+                mean_ms += lap;
+            mean_ms /= reps;
+            const double median_ms = median(laps);
+
+            Result res;
+            res.model = cfg.name;
+            res.kernel = "PlannedEncoder(Taylor)";
+            res.tokens = cfg.tokens;
+            res.heads = cfg.heads;
+            res.headDim = cfg.headDim();
+            res.batch = 1;
+            res.reps = reps;
+            res.wallMsMean = mean_ms;
+            res.wallMsMedian = median_ms;
+            res.imagesPerSec =
+                median_ms > 0.0 ? 1.0 / (median_ms * 1e-3) : 0.0;
+            res.maskDensity = -1.0;
+            res.prepack = 1;
+            res.layers = hybrid;
+            res.counts = hybridEnc.opCounts();
+            res.gflopsPerSec =
+                median_ms > 0.0
+                    ? static_cast<double>(res.counts.flops()) /
+                          (median_ms * 1e6)
+                    : 0.0;
+            results.push_back(res);
+
+            inform("%-10s PlannedEnc hybrid         %8.3f ms/img   "
+                   "%8.1f img/s  %7.2f GFLOP/s",
+                   cfg.name.c_str(), median_ms, res.imagesPerSec,
+                   res.gflopsPerSec);
         }
 
         // Ragged encoder rows under the token-keep sweep: the same
         // single image through forwardRagged with an explicit staged
         // schedule (VitConfig::withTokenKeep overrides the global
-        // knob). keep=1.0 is the ragged-overhead control — bitwise
-        // equal to Encoder(Taylor) above — and the pruned rows are the
+        // knob). keep=1.0 is the ragged control — bitwise equal to
+        // Encoder(Taylor) above — and the pruned rows are the
         // variable-token payoff the trajectory tracks via tokens/s.
         for (const float keep : {1.0f, 0.7f, 0.5f, 0.35f}) {
             VitEncoder encoder(cfg.withTokenKeep(keep),
@@ -521,17 +479,13 @@ main(int argc, char **argv)
 
             for (const BatchInputs &in : inputs) {
                 const size_t batch = in.batch;
-                const Batch &q = in.q;
-                const Batch &k = in.k;
-                const Batch &v = in.v;
-
-                Batch out;
-                mha.forwardBatchInto(pool, q, k, v, out); // warmup
+                RaggedBatch out;
+                mha.forwardRaggedInto(pool, in.q, in.k, in.v, out); // warmup
 
                 std::vector<double> laps(static_cast<size_t>(reps));
                 for (int r = 0; r < reps; ++r) {
                     const double t0 = nowMs();
-                    mha.forwardBatchInto(pool, q, k, v, out);
+                    mha.forwardRaggedInto(pool, in.q, in.k, in.v, out);
                     laps[static_cast<size_t>(r)] = nowMs() - t0;
                 }
                 double mean_ms = 0.0;

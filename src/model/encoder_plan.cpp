@@ -10,8 +10,8 @@
 
 namespace vitality {
 
-std::unique_ptr<const EncoderPlan>
-EncoderPlan::compile(VitEncoder &encoder, const PlanOptions &opts)
+std::unique_ptr<EncoderPlan>
+EncoderPlan::compile(const VitEncoder &encoder, const PlanOptions &opts)
 {
     const VitConfig &cfg = encoder.config();
     cfg.validate();
@@ -53,8 +53,7 @@ EncoderPlan::compile(VitEncoder &encoder, const PlanOptions &opts)
 
     // Keep schedule, frozen at compile time: the config's explicit
     // vector wins; otherwise the pinned (or global) keep-ratio expanded
-    // over the default staged schedule — the same resolution the eager
-    // ragged path performs per call.
+    // over the default staged schedule.
     std::vector<float> keeps;
     if (!cfg.tokenKeep.empty()) {
         keeps = cfg.tokenKeep;
@@ -89,10 +88,8 @@ EncoderPlan::compile(VitEncoder &encoder, const PlanOptions &opts)
                              (6 * cfg.dModel + cfg.mlpHidden);
 
     // Prepack every dense-stage weight. The packs borrow the encoder's
-    // weight matrices (and, for int8, its quantized cache, built here
-    // eagerly so the first quantized request pays no lazy conversion) —
-    // the encoder owns the plan, so the borrow cannot dangle.
-    plan->int8_ = opts.packInt8;
+    // weight matrices — the encoder owns the plan, so the borrow cannot
+    // dangle.
     plan->packs_.resize(cfg.layers);
     for (size_t l = 0; l < cfg.layers; ++l) {
         const VitEncoder::LayerWeights &w = encoder.layer(l);
@@ -103,19 +100,37 @@ EncoderPlan::compile(VitEncoder &encoder, const PlanOptions &opts)
         p.wo.packFp32(w.wo);
         p.w1.packFp32(w.w1);
         p.w2.packFp32(w.w2);
-        if (opts.packInt8) {
-            const VitEncoder::QuantizedLayerWeights &q =
-                encoder.quantizedLayer(l);
-            p.wq.packInt8(q.wq);
-            p.wk.packInt8(q.wk);
-            p.wv.packInt8(q.wv);
-            p.wo.packInt8(q.wo);
-            p.w1.packInt8(q.w1);
-            p.w2.packInt8(q.w2);
-        }
     }
+    if (opts.packInt8)
+        plan->addInt8(encoder);
 
     return plan;
+}
+
+void
+EncoderPlan::addInt8(const VitEncoder &encoder)
+{
+    if (int8_)
+        return;
+    quantized_.resize(packs_.size());
+    for (size_t l = 0; l < packs_.size(); ++l) {
+        const VitEncoder::LayerWeights &w = encoder.layer(l);
+        QuantizedLayer &q = quantized_[l];
+        q.wq.assignWeights(w.wq);
+        q.wk.assignWeights(w.wk);
+        q.wv.assignWeights(w.wv);
+        q.wo.assignWeights(w.wo);
+        q.w1.assignWeights(w.w1);
+        q.w2.assignWeights(w.w2);
+        LayerPack &p = packs_[l];
+        p.wq.packInt8(q.wq);
+        p.wk.packInt8(q.wk);
+        p.wv.packInt8(q.wv);
+        p.wo.packInt8(q.wo);
+        p.w1.packInt8(q.w1);
+        p.w2.packInt8(q.w2);
+    }
+    int8_ = true;
 }
 
 size_t

@@ -2,38 +2,32 @@
  * @file
  * EncoderPlan: the compile step between a VitConfig and execution.
  *
- * Eager VitEncoder execution re-derives per-call everything that is
- * actually a function of the model alone: every dense-stage GEMM
- * re-packs the same weight panels, the first int8 forward quantizes
- * the weights inside the dispatch gate, workspace buffers grow to
- * their high-water marks mid-request, and the attention kernel is one
- * process-wide choice. EncoderPlan::compile hoists all of that to
- * model-registration time:
+ * Every VitEncoder forward runs through a plan (an encoder nobody
+ * compiled compiles the default PlanOptions on its first forward).
+ * EncoderPlan::compile hoists to compile time everything that is a
+ * function of the model alone:
  *
  *  - every dense-stage weight (wq/wk/wv/wo/w1/w2 per layer) is packed
  *    once into the exact kc x 16 panel layout the AVX2 microkernels
  *    consume (tensor/packed_weights.h), so steady-state GEMMs skip
  *    the pack loop entirely — and the scalar backend runs its
- *    unpack-free reference path, so planned execution is
- *    bitwise-identical to eager on every backend;
- *  - the int8 weight twins are built (and packed) eagerly when
- *    requested, so the first quantized request pays no lazy
- *    quantization;
+ *    unpack-free reference path, so the prepacked multiply is
+ *    bitwise-identical to the per-call one on every backend;
+ *  - int8 copies of those weights are quantized and packed when
+ *    requested (PlanOptions::packInt8), or by the first int8 forward
+ *    through the plan (addInt8); the plan owns the copies;
  *  - the per-(maxBatch, maxTokens) workspace footprint is computed so
- *    the encoder pre-grows its arena and activation buffers at compile
- *    time and steady-state forwards acquire without allocating;
+ *    the encoder pre-grows its activation buffers at compile time and
+ *    steady-state forwards acquire without allocating;
  *  - a per-layer LayerSpec records which attention kernel and token
  *    keep-ratio each layer runs, parsed from the schedule grammar of
  *    attention/zoo.h ("taylor:0-7,softmax:8-11") with precedence
  *    PlanOptions > VitConfig::layerKernels > the VITALITY_LAYERS knob.
  *
- * A plan borrows the encoder's weight storage (PackedMatrix borrows
- * its source; the int8 panels borrow the encoder's quantized cache),
- * so it must not outlive the encoder that compiled it — VitEncoder
- * owns its plan (VitEncoder::compilePlan), which makes the lifetime
- * structural. When the resolved schedule is uniform (every layer runs
- * the encoder's own kernel), planned execution is bitwise-identical
- * to eager execution — test-asserted across the whole zoo.
+ * The fp32 panels borrow the encoder's weight storage (PackedMatrix
+ * borrows its source), so a plan must not outlive the encoder that
+ * compiled it — VitEncoder owns its plan (VitEncoder::compilePlan),
+ * which makes the lifetime structural.
  */
 
 #ifndef VITALITY_MODEL_ENCODER_PLAN_H
@@ -46,6 +40,7 @@
 
 #include "attention/attention.h"
 #include "tensor/packed_weights.h"
+#include "tensor/quantized_matrix.h"
 
 namespace vitality {
 
@@ -78,7 +73,7 @@ struct PlanOptions
     /** Largest batch size to provision workspace for. */
     size_t maxBatch = 1;
 
-    /** Also build + pack the int8 weight twins at compile time. */
+    /** Also quantize + pack the int8 weights at compile time. */
     bool packInt8 = false;
 };
 
@@ -106,8 +101,21 @@ class EncoderPlan
      * the encoder's weight storage — callers go through
      * VitEncoder::compilePlan, which ties the lifetimes together.
      */
-    static std::unique_ptr<const EncoderPlan>
-    compile(VitEncoder &encoder, const PlanOptions &opts);
+    static std::unique_ptr<EncoderPlan> compile(const VitEncoder &encoder,
+                                                const PlanOptions &opts);
+
+    /** Not copyable: the int8 panels borrow quantized_ in place. */
+    EncoderPlan(const EncoderPlan &) = delete;
+    EncoderPlan &operator=(const EncoderPlan &) = delete;
+
+    /**
+     * Quantize the encoder's dense-stage weights (symmetric
+     * per-tensor, tensor/quantized_matrix.h) into copies this plan
+     * owns, and pack them next to the fp32 panels. A no-op once
+     * hasInt8(). Mutates the plan: call it where a forward would be
+     * legal (VitEncoder does, under its in-flight guard).
+     */
+    void addInt8(const VitEncoder &encoder);
 
     size_t layers() const { return specs_.size(); }
     const LayerSpec &spec(size_t l) const { return specs_[l]; }
@@ -116,7 +124,7 @@ class EncoderPlan
     /** True when every layer runs the encoder's own kernel. */
     bool uniform() const { return uniform_; }
 
-    /** True when the int8 twins were packed (PlanOptions::packInt8). */
+    /** True once the int8 weights are packed (packInt8 or addInt8). */
     bool hasInt8() const { return int8_; }
 
     size_t maxTokens() const { return maxTokens_; }
@@ -136,10 +144,18 @@ class EncoderPlan
     std::string summary() const;
 
   private:
+    /** One layer's int8 weights, which the int8 panels borrow. */
+    struct QuantizedLayer
+    {
+        QuantizedMatrix wq, wk, wv, wo, w1, w2;
+    };
+
     EncoderPlan() = default;
 
     std::vector<LayerSpec> specs_;
     std::vector<LayerPack> packs_;
+    /** Sized once by addInt8 and never again, so the borrows hold. */
+    std::vector<QuantizedLayer> quantized_;
     bool uniform_ = true;
     bool int8_ = false;
     size_t maxTokens_ = 0;

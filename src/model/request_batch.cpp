@@ -7,44 +7,11 @@
 namespace vitality {
 
 void
-packRequests(Batch &dst, const Matrix *const *inputs, size_t n)
-{
-    if (n == 0)
-        throw std::invalid_argument("packRequests: empty request set");
-    for (size_t i = 0; i < n; ++i)
-        if (!inputs[i])
-            throw std::invalid_argument(
-                strfmt("packRequests: input %zu is null", i));
-    const size_t rows = inputs[0]->rows(), cols = inputs[0]->cols();
-    if (rows == 0 || cols == 0)
-        throw std::invalid_argument(
-            strfmt("packRequests: empty input shape %s",
-                   inputs[0]->shapeStr().c_str()));
-    for (size_t i = 1; i < n; ++i) {
-        if (inputs[i]->rows() != rows || inputs[i]->cols() != cols)
-            throw std::invalid_argument(
-                strfmt("packRequests: input %zu is %s, expected %s", i,
-                       inputs[i]->shapeStr().c_str(),
-                       inputs[0]->shapeStr().c_str()));
-    }
-    dst.resize(n, rows, cols);
-    for (size_t i = 0; i < n; ++i)
-        dst[i].copyFrom(*inputs[i]);
-}
-
-void
 packRequests(RaggedBatch &dst, const Matrix *const *inputs, size_t n)
 {
     // RaggedBatch::packFrom carries the full contract (non-null, equal
-    // columns, rows >= 1); this wrapper exists so the serving layer
-    // uses one packRequests/unpackImage surface for both shapes.
+    // columns, rows >= 1).
     dst.packFrom(inputs, n);
-}
-
-void
-unpackImage(const Batch &src, size_t i, Matrix &dst)
-{
-    dst.copyFrom(src.at(i));
 }
 
 void

@@ -1,19 +1,18 @@
 /**
  * @file
- * Pack/unpack between individual request matrices and the uniform
- * Batch the encoder consumes.
+ * Pack/unpack between individual request matrices and the RaggedBatch
+ * the encoder consumes.
  *
  * The serving layer holds N independently-submitted token matrices and
- * needs them in one Batch for VitEncoder::forwardBatch; afterwards it
- * needs image i back out as a standalone Matrix for response i. Both
- * directions are plain shape-checked copies with Matrix::resize /
- * copyFrom semantics (storage recycled, so a batcher reusing one Batch
- * and per-response matrices is allocation-free in steady state). They
- * live in the model layer next to the forwardBatch contract they feed:
- * packRequests(dst, ...) then forwardBatchInto then unpackImage(i) is
- * bitwise-identical per request to a direct single-image forward,
- * because forwardBatch itself is (vit_encoder.h) and the copies here
- * are exact.
+ * needs them in one RaggedBatch for VitEncoder::forwardRaggedInto;
+ * afterwards it needs image i back out as a standalone Matrix for
+ * response i. Both directions are plain shape-checked copies with
+ * Matrix::resize / copyFrom semantics (storage recycled, so a batcher
+ * reusing one RaggedBatch and per-response matrices is allocation-free
+ * in steady state). packRequests then forwardRaggedInto then
+ * unpackImage(i) is bitwise-identical per request to a direct
+ * single-image forward, because the ragged forward is batch-independent
+ * (vit_encoder.h) and the copies here are exact.
  */
 
 #ifndef VITALITY_MODEL_REQUEST_BATCH_H
@@ -21,38 +20,26 @@
 
 #include <cstddef>
 
-#include "tensor/batch.h"
 #include "tensor/matrix.h"
 #include "tensor/ragged_batch.h"
 
 namespace vitality {
 
 /**
- * Pack inputs[0 .. n) into dst (resized to n images, recycling
- * storage). All inputs must be non-null and share one non-empty shape;
- * throws std::invalid_argument otherwise. Pointer-array form so a
- * batcher can pack straight from queued request nodes without first
- * materializing a contiguous vector<Matrix>.
- */
-void packRequests(Batch &dst, const Matrix *const *inputs, size_t n);
-
-/**
- * Ragged twin: pack n MIXED-token-count requests into one contiguous
- * RaggedBatch (resized, storage recycled). Inputs must be non-null
- * with equal non-zero columns and rows >= 1 each — token-count
- * diversity is the point; only the embedding width is fixed. The
- * serving path feeds this to VitEncoder::forwardRaggedInto.
+ * Pack n mixed-token-count requests into one contiguous RaggedBatch
+ * (resized, storage recycled). Inputs must be non-null with equal
+ * non-zero columns and rows >= 1 each — token-count diversity is the
+ * point; only the embedding width is fixed. Throws
+ * std::invalid_argument otherwise. Pointer-array form so a batcher can
+ * pack straight from queued request nodes.
  */
 void packRequests(RaggedBatch &dst, const Matrix *const *inputs,
                   size_t n);
 
 /**
- * Copy image i of src into dst (resized, recycling storage). Throws
- * std::out_of_range on a bad index.
+ * Copy image i's surviving tokens into dst (resized, recycling
+ * storage). Throws std::out_of_range on a bad index.
  */
-void unpackImage(const Batch &src, size_t i, Matrix &dst);
-
-/** Ragged twin of unpackImage; dst gets image i's surviving tokens. */
 void unpackImage(const RaggedBatch &src, size_t i, Matrix &dst);
 
 } // namespace vitality

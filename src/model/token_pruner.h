@@ -24,8 +24,8 @@
  * Determinism and parity: kept tokens preserve their original order
  * (ties broken by lower index), the CLS row is always kept, and a keep
  * ratio of 1.0 is a structural no-op — the encoder skips the pruner
- * entirely, which is what keeps the ragged path at keep=1.0
- * bitwise-identical to the uniform Batch path. Scratch buffers are
+ * entirely, so an image's output at keep=1.0 keeps every token row.
+ * Scratch buffers are
  * members recycled across calls, so steady-state pruning allocates
  * nothing.
  */

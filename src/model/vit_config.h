@@ -29,14 +29,14 @@ struct VitConfig
     size_t mlpHidden;  ///< MLP hidden width (4 x dModel for DeiT).
 
     /**
-     * Per-layer token keep-ratio schedule for the ragged forward path:
-     * after running layer l, the token pruner keeps tokenKeep[l] of
-     * each image's non-CLS tokens (ranked by CLS-attention mass; see
-     * model/token_pruner.h). Empty (the default) defers to the global
-     * VITALITY_TOKENS knob expanded over the default staged schedule;
-     * non-empty must have exactly `layers` entries in (0, 1]
-     * (validate() enforces this). 1.0 entries prune nothing. The
-     * uniform Batch/Matrix forward paths ignore the schedule entirely.
+     * Per-layer token keep-ratio schedule for every forward (the
+     * one-image forwardInto included): after running layer l, the
+     * token pruner keeps tokenKeep[l] of each image's non-CLS tokens
+     * (ranked by CLS-attention mass; see model/token_pruner.h). Empty
+     * (the default) defers to the global VITALITY_TOKENS knob expanded
+     * over the default staged schedule, read when the encoder's plan
+     * compiles; non-empty must have exactly `layers` entries in
+     * (0, 1] (validate() enforces this). 1.0 entries prune nothing.
      */
     std::vector<float> tokenKeep;
 
@@ -45,9 +45,8 @@ struct VitConfig
      * "taylor:0-7,softmax:8-11" (attention/zoo.h grammar): ranges name
      * the kernel run on those layers, uncovered layers run the model's
      * base kernel. Empty (the default) defers to the global
-     * VITALITY_LAYERS knob. Only consulted when an EncoderPlan is
-     * compiled (model/encoder_plan.h) — eager execution always runs
-     * the base kernel on every layer. validate() checks the grammar
+     * VITALITY_LAYERS knob. Read when the encoder's EncoderPlan
+     * compiles (model/encoder_plan.h). validate() checks the grammar
      * and that ranges fit `layers`.
      */
     std::string layerKernels;

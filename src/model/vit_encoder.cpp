@@ -8,7 +8,6 @@
 #include "base/rng.h"
 #include "model/encoder_plan.h"
 #include "runtime/call_guard.h"
-#include "runtime/runtime_options.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 
@@ -20,22 +19,15 @@ const char *const kConcurrentCall =
     "VitEncoder: concurrent forward on one instance (activation "
     "buffers are not shareable; use one instance per caller)";
 
-// The per-layer float program is shared between the single-image and the
-// batched paths, which is what makes forwardBatch bitwise-identical to
-// per-image forward calls. Every dense stage rides the fused GEMM
-// epilogue (tensor/gemm.h): bias adds, the GELU, and the residual adds
-// happen in the GEMM write-back instead of as extra full passes over
-// the activations — and fused epilogues are bitwise-identical to the
-// unfused op sequence, so the parity guarantees survive the fusion.
-//
-// Each helper takes an optional QuantizedLayerWeights pointer: when
-// non-null (VITALITY_QUANT=int8) the dense GEMM is replaced by its
-// quantized twin — the fp32 activation is quantized per-row into a
-// thread-local scratch and multiplied against the cached int8 weights
-// with the very same epilogue descriptor, so bias/GELU/residual
-// semantics are unchanged. Quantization is a deterministic function of
-// the activation floats, so the batched path stays bitwise-identical
-// to per-image forward calls in int8 mode too.
+// Every dense stage rides the fused GEMM epilogue (tensor/gemm.h):
+// bias adds, the GELU, and the residual adds happen in the GEMM
+// write-back instead of as extra full passes over the activations — and
+// fused epilogues are bitwise-identical to the unfused op sequence. The
+// weights are the plan's prepacked panels; in int8 mode
+// (VITALITY_QUANT=int8) the fp32 activation is quantized per row into a
+// thread-local scratch and multiplied against the int8 panels with the
+// very same epilogue descriptor, so bias/GELU/residual semantics are
+// unchanged.
 
 // Per-worker activation-quantization scratch. Each dense stage
 // re-quantizes into it, so at most one lives per pool worker.
@@ -47,101 +39,30 @@ quantScratch(const Matrix &src)
     return t_qact;
 }
 
-// One dense-stage projection, prepacked when the layer carries a plan
-// pack (results are bitwise-identical either way — the prepacked
-// panels ARE the per-call pack output, and the scalar backend runs an
-// unpack-free reference path against the borrowed source).
+// One dense stage: dst = epi(a * w).
 void
-projectFp32(Matrix &dst, const Matrix &a, const Matrix &w,
-            const PackedMatrix *p, const Gemm::Epilogue &epi)
+project(Matrix &dst, const Matrix &a, const PackedMatrix &w, bool int8,
+        const Gemm::Epilogue &epi)
 {
-    if (p)
-        Gemm::multiply(dst, a, *p, Gemm::Trans::None, epi);
+    if (int8)
+        Gemm::multiply(dst, quantScratch(a), w, Gemm::Trans::None, epi);
     else
         Gemm::multiply(dst, a, w, Gemm::Trans::None, epi);
 }
 
-// Int8 twin: prepacked panels only when the plan packed them
-// (PlanOptions::packInt8); otherwise the eager quantized multiply
-// against the cached int8 weights.
+// The packed QKV projections of one (fp32 or quantized) activation.
+template <typename Activation>
 void
-projectInt8(Matrix &dst, const QuantizedMatrix &a,
-            const QuantizedMatrix &w, const PackedMatrix *p,
-            const Gemm::Epilogue &epi)
+projectQkv(const Activation &a, const VitEncoder::LayerWeights &w,
+           const EncoderPlan::LayerPack &pk, Matrix &q, Matrix &k,
+           Matrix &v)
 {
-    if (p && p->hasInt8())
-        Gemm::multiply(dst, a, *p, Gemm::Trans::None, epi);
-    else
-        Gemm::multiply(dst, a, w, Gemm::Trans::None, epi);
-}
-
-// LN1 and the QKV projections: normed, q, k, v <- LN1(x), packed QKV.
-// The three projections share one quantization of `normed`.
-void
-attentionPre(const VitEncoder::LayerWeights &w,
-             const VitEncoder::QuantizedLayerWeights *qw,
-             const EncoderPlan::LayerPack *pk, const Matrix &x,
-             Matrix &normed, Matrix &q, Matrix &k, Matrix &v)
-{
-    layerNormRowsInto(normed, x, w.ln1Gamma, w.ln1Beta);
-    if (qw) {
-        const QuantizedMatrix &qa = quantScratch(normed);
-        projectInt8(q, qa, qw->wq, pk ? &pk->wq : nullptr,
-                    Gemm::Epilogue::withBias(w.bq));
-        projectInt8(k, qa, qw->wk, pk ? &pk->wk : nullptr,
-                    Gemm::Epilogue::withBias(w.bk));
-        projectInt8(v, qa, qw->wv, pk ? &pk->wv : nullptr,
-                    Gemm::Epilogue::withBias(w.bv));
-        return;
-    }
-    projectFp32(q, normed, w.wq, pk ? &pk->wq : nullptr,
-                Gemm::Epilogue::withBias(w.bq));
-    projectFp32(k, normed, w.wk, pk ? &pk->wk : nullptr,
-                Gemm::Epilogue::withBias(w.bk));
-    projectFp32(v, normed, w.wv, pk ? &pk->wv : nullptr,
-                Gemm::Epilogue::withBias(w.bv));
-}
-
-// Output projection and residual, one fused call: x += W_O attn + b_O.
-void
-attentionPost(const VitEncoder::LayerWeights &w,
-              const VitEncoder::QuantizedLayerWeights *qw,
-              const EncoderPlan::LayerPack *pk, Matrix &x,
-              const Matrix &attn)
-{
-    if (qw) {
-        projectInt8(x, quantScratch(attn), qw->wo,
-                    pk ? &pk->wo : nullptr,
-                    Gemm::Epilogue::accumulateWithBias(w.bo));
-        return;
-    }
-    projectFp32(x, attn, w.wo, pk ? &pk->wo : nullptr,
-                Gemm::Epilogue::accumulateWithBias(w.bo));
-}
-
-// MLP block: x += W_2 GELU(W_1 LN2(x)). The GELU rides the first
-// GEMM's write-back, the bias + residual the second's — no separate
-// pass over the model's largest activation matrix remains.
-void
-mlpBlock(const VitEncoder::LayerWeights &w,
-         const VitEncoder::QuantizedLayerWeights *qw,
-         const EncoderPlan::LayerPack *pk, Matrix &x, Matrix &normed,
-         Matrix &hidden)
-{
-    layerNormRowsInto(normed, x, w.ln2Gamma, w.ln2Beta);
-    if (qw) {
-        projectInt8(hidden, quantScratch(normed), qw->w1,
-                    pk ? &pk->w1 : nullptr,
-                    Gemm::Epilogue::withBiasGelu(w.b1));
-        projectInt8(x, quantScratch(hidden), qw->w2,
-                    pk ? &pk->w2 : nullptr,
-                    Gemm::Epilogue::accumulateWithBias(w.b2));
-        return;
-    }
-    projectFp32(hidden, normed, w.w1, pk ? &pk->w1 : nullptr,
-                Gemm::Epilogue::withBiasGelu(w.b1));
-    projectFp32(x, hidden, w.w2, pk ? &pk->w2 : nullptr,
-                Gemm::Epilogue::accumulateWithBias(w.b2));
+    Gemm::multiply(q, a, pk.wq, Gemm::Trans::None,
+                   Gemm::Epilogue::withBias(w.bq));
+    Gemm::multiply(k, a, pk.wk, Gemm::Trans::None,
+                   Gemm::Epilogue::withBias(w.bk));
+    Gemm::multiply(v, a, pk.wv, Gemm::Trans::None,
+                   Gemm::Epilogue::withBias(w.bv));
 }
 
 } // namespace
@@ -184,13 +105,6 @@ VitEncoder::VitEncoder(VitConfig config, AttentionKernelPtr kernel,
 
 VitEncoder::~VitEncoder() = default;
 
-const VitEncoder::QuantizedLayerWeights &
-VitEncoder::quantizedLayer(size_t i)
-{
-    ensureQuantizedWeights();
-    return qlayers_.at(i);
-}
-
 void
 VitEncoder::compilePlan()
 {
@@ -201,18 +115,22 @@ void
 VitEncoder::compilePlan(const PlanOptions &opts)
 {
     CallGuard guard(inFlight_, kConcurrentCall);
+    installPlan(opts);
+}
 
+void
+VitEncoder::installPlan(const PlanOptions &opts)
+{
     // Compile before detaching the old plan, so a throwing compile
     // leaves the encoder in its previous state.
-    std::unique_ptr<const EncoderPlan> plan =
-        EncoderPlan::compile(*this, opts);
+    std::unique_ptr<EncoderPlan> plan = EncoderPlan::compile(*this, opts);
 
     std::vector<std::unique_ptr<MultiHeadAttention>> mhas;
     if (!plan->uniform()) {
         // Heterogeneous schedule: one dispatch instance per layer.
         // Kernel construction is deterministic (attention/zoo.h), so a
-        // layer whose spec names the encoder's own kernel type still
-        // computes bitwise-identically to eager execution.
+        // layer whose spec names the encoder's own kernel type computes
+        // bitwise-identically to the shared instance.
         mhas.reserve(cfg_.layers);
         for (size_t l = 0; l < cfg_.layers; ++l)
             mhas.push_back(std::make_unique<MultiHeadAttention>(
@@ -220,44 +138,30 @@ VitEncoder::compilePlan(const PlanOptions &opts)
     }
 
     // Pre-grow every activation buffer to the plan's high-water
-    // footprint, so steady-state forwards acquire recycled storage
-    // from an already-sized arena instead of growing it mid-request.
+    // footprint, so steady-state forwards reuse storage instead of
+    // growing it mid-request.
     const size_t n = plan->maxTokens();
     const size_t batch = plan->maxBatch();
     const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-    {
-        Workspace::Frame frame(ws_);
-        for (int slot = 0; slot < 6; ++slot)
-            ws_.acquire(n, d);
-        ws_.acquire(n, h);
-    }
-    bx_.resize(batch, n, d);
-    bnormed_.resize(batch, n, d);
-    bq_.resize(batch, n, d);
-    bk_.resize(batch, n, d);
-    bv_.resize(batch, n, d);
-    battn_.resize(batch, n, d);
-    bhidden_.resize(batch, n, h);
     const std::vector<size_t> rows(batch, n);
-    rx_.resize(rows.data(), batch, d);
-    rq_.resize(rows.data(), batch, d);
-    rk_.resize(rows.data(), batch, d);
-    rv_.resize(rows.data(), batch, d);
-    rattn_.resize(rows.data(), batch, d);
+    for (RaggedBatch *r : {&rx_, &rq_, &rk_, &rv_, &rattn_})
+        r->resize(rows.data(), batch, d);
     rnormed_.resize(batch * n, d);
-    rhidden_.resize(batch * n, h);
+    rhidden_.resize(batch * n, cfg_.mlpHidden);
 
     plan_ = std::move(plan);
     planMha_ = std::move(mhas);
 }
 
-void
-VitEncoder::clearPlan()
+bool
+VitEncoder::preparePlan()
 {
-    CallGuard guard(inFlight_, kConcurrentCall);
-    plan_.reset();
-    planMha_.clear();
+    if (!plan_)
+        installPlan(PlanOptions{});
+    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
+    if (int8)
+        plan_->addInt8(*this);
+    return int8;
 }
 
 MultiHeadAttention &
@@ -267,47 +171,19 @@ VitEncoder::mhaAt(size_t l)
 }
 
 void
-VitEncoder::forwardInto(const Matrix &x_in, ThreadPool &pool, Matrix &out)
+VitEncoder::forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out)
 {
     CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.rows() != cfg_.tokens || x_in.cols() != cfg_.dModel) {
+    if (x.rows() != cfg_.tokens || x.cols() != cfg_.dModel) {
         throw std::invalid_argument(
             strfmt("VitEncoder: input %s, expected [%zu x %zu]",
-                   x_in.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
+                   x.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
     }
-    VITALITY_DCHECK(check::allFinite(x_in.data(), x_in.size()),
-                    "VitEncoder: non-finite input");
-
-    const size_t n = cfg_.tokens;
-    const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-
-    Workspace::Frame frame(ws_);
-    Matrix &x = ws_.acquire(n, d);
-    x.copyFrom(x_in);
-    Matrix &normed = ws_.acquire(n, d);
-    Matrix &q = ws_.acquire(n, d);
-    Matrix &k = ws_.acquire(n, d);
-    Matrix &v = ws_.acquire(n, d);
-    Matrix &attn = ws_.acquire(n, d);
-    Matrix &hidden = ws_.acquire(n, h);
-
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        ensureQuantizedWeights();
-
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        const LayerWeights &w = layers_[l];
-        const QuantizedLayerWeights *qw = int8 ? &qlayers_[l] : nullptr;
-        const EncoderPlan::LayerPack *pk =
-            plan_ ? &plan_->pack(l) : nullptr;
-        attentionPre(w, qw, pk, x, normed, q, k, v);
-        mhaAt(l).forwardInto(pool, q, k, v, attn);
-        attentionPost(w, qw, pk, x, attn);
-        mlpBlock(w, qw, pk, x, normed, hidden);
-    }
-
-    out.copyFrom(x);
+    const bool int8 = preparePlan();
+    const Matrix *image = &x;
+    rx_.packFrom(&image, 1);
+    runLayers(pool, int8);
+    rx_.unpackImage(0, out);
 }
 
 Matrix
@@ -319,122 +195,45 @@ VitEncoder::forward(const Matrix &x, ThreadPool &pool)
 }
 
 void
-VitEncoder::forwardBatchInto(const Batch &x_in, ThreadPool &pool,
-                             Batch &out)
+VitEncoder::forwardRaggedInto(const RaggedBatch &x, ThreadPool &pool,
+                              RaggedBatch &out)
 {
     CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.size() == 0)
-        throw std::invalid_argument("VitEncoder: empty batch");
-    if (x_in.rows() != cfg_.tokens || x_in.cols() != cfg_.dModel) {
+    if (x.empty())
+        throw std::invalid_argument("VitEncoder: empty ragged batch");
+    if (x.cols() != cfg_.dModel) {
         throw std::invalid_argument(
-            strfmt("VitEncoder: batch %s, expected [B x %zu x %zu]",
-                   x_in.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
+            strfmt("VitEncoder: ragged batch %s, expected %zu columns",
+                   x.shapeStr().c_str(), cfg_.dModel));
     }
-#if VITALITY_CHECKED
-    for (size_t b = 0; b < x_in.size(); ++b)
-        VITALITY_DCHECK(check::allFinite(x_in[b].data(), x_in[b].size()),
-                        "VitEncoder: non-finite input image %zu", b);
-#endif
-
-    const size_t batch = x_in.size();
-    const size_t n = cfg_.tokens;
-    const size_t d = cfg_.dModel;
-    const size_t h = cfg_.mlpHidden;
-
-    bx_.copyFrom(x_in);
-    bnormed_.resize(batch, n, d);
-    bq_.resize(batch, n, d);
-    bk_.resize(batch, n, d);
-    bv_.resize(batch, n, d);
-    bhidden_.resize(batch, n, h);
-
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        ensureQuantizedWeights();
-
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        const LayerWeights &w = layers_[l];
-        const QuantizedLayerWeights *qw = int8 ? &qlayers_[l] : nullptr;
-        const EncoderPlan::LayerPack *pk =
-            plan_ ? &plan_->pack(l) : nullptr;
-        // Dense pre-attention stages, one image per task. The per-image
-        // buffers are disjoint, so tasks never share floats, and GEMMs
-        // issued inside a task stay sequential (the Gemm runner reports
-        // width 1 on workers), so image-level parallelism is never
-        // oversubscribed by intra-GEMM bands.
-        pool.parallelFor(0, batch, [&](size_t b, size_t) {
-            attentionPre(w, qw, pk, bx_[b], bnormed_[b], bq_[b], bk_[b],
-                         bv_[b]);
-        });
-        // Attention: B x heads work items through per-worker contexts.
-        mhaAt(l).forwardBatchInto(pool, bq_, bk_, bv_, battn_);
-        // Output projection, residual, and MLP, one image per task.
-        pool.parallelFor(0, batch, [&](size_t b, size_t) {
-            attentionPost(w, qw, pk, bx_[b], battn_[b]);
-            mlpBlock(w, qw, pk, bx_[b], bnormed_[b], bhidden_[b]);
-        });
-    }
-
-    out.copyFrom(bx_);
+    VITALITY_CHECK(&out != &x, "VitEncoder: ragged out aliases the input");
+    const bool int8 = preparePlan();
+    rx_.copyFrom(x);
+    runLayers(pool, int8);
+    out.copyFrom(rx_);
 }
 
-Batch
-VitEncoder::forwardBatch(const Batch &x, ThreadPool &pool)
+RaggedBatch
+VitEncoder::forwardRagged(const RaggedBatch &x, ThreadPool &pool)
 {
-    Batch out;
-    forwardBatchInto(x, pool, out);
+    RaggedBatch out;
+    forwardRaggedInto(x, pool, out);
     return out;
 }
 
 void
-VitEncoder::forwardRaggedInto(const RaggedBatch &x_in, ThreadPool &pool,
-                              RaggedBatch &out)
+VitEncoder::runLayers(ThreadPool &pool, bool int8)
 {
-    CallGuard guard(inFlight_, kConcurrentCall);
-    if (x_in.empty())
-        throw std::invalid_argument("VitEncoder: empty ragged batch");
-    if (x_in.cols() != cfg_.dModel) {
-        throw std::invalid_argument(
-            strfmt("VitEncoder: ragged batch %s, expected %zu columns",
-                   x_in.shapeStr().c_str(), cfg_.dModel));
-    }
-    VITALITY_CHECK(&out != &x_in,
-                   "VitEncoder: ragged out aliases the input");
     VITALITY_DCHECK(
-        check::allFinite(x_in.buffer().data(),
-                         x_in.totalRows() * x_in.cols()),
-        "VitEncoder: non-finite ragged input");
+        check::allFinite(rx_.buffer().data(), rx_.totalRows() * rx_.cols()),
+        "VitEncoder: non-finite input");
 
     const size_t d = cfg_.dModel;
     const size_t h = cfg_.mlpHidden;
 
-    // Effective keep schedule: a compiled plan froze its per-layer
-    // schedule at compile time; otherwise the config's explicit
-    // per-layer vector wins, then the global VITALITY_TOKENS knob
-    // expanded over the default staged schedule (all 1.0 when the
-    // knob is 1.0).
-    if (plan_) {
-        keepSched_.resize(cfg_.layers);
-        for (size_t l = 0; l < cfg_.layers; ++l)
-            keepSched_[l] = plan_->spec(l).tokenKeep;
-    } else if (!cfg_.tokenKeep.empty()) {
-        keepSched_ = cfg_.tokenKeep;
-    } else {
-        TokenPruner::buildSchedule(keepSched_, cfg_.layers,
-                                   tokenKeepRatio());
-    }
-
-    rx_.copyFrom(x_in);
-
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        ensureQuantizedWeights();
-
     for (size_t l = 0; l < layers_.size(); ++l) {
         const LayerWeights &w = layers_[l];
-        const QuantizedLayerWeights *qw = int8 ? &qlayers_[l] : nullptr;
-        const EncoderPlan::LayerPack *pk =
-            plan_ ? &plan_->pack(l) : nullptr;
+        const EncoderPlan::LayerPack &pk = plan_->pack(l);
         const size_t total = rx_.totalRows();
         rnormed_.resize(total, d);
         rhidden_.resize(total, h);
@@ -448,49 +247,35 @@ VitEncoder::forwardRaggedInto(const RaggedBatch &x_in, ThreadPool &pool,
         // of which other rows share the multiply — so each image's
         // floats match its standalone forward exactly. Issued from the
         // calling thread, the GEMM fans row bands across the pool.
-        attentionPre(w, qw, pk, rx_.buffer(), rnormed_, rq_.buffer(),
-                     rk_.buffer(), rv_.buffer());
+        Matrix &x = rx_.buffer();
+        // LN1 and the QKV projections, which share one quantization of
+        // the normed activation.
+        layerNormRowsInto(rnormed_, x, w.ln1Gamma, w.ln1Beta);
+        if (int8)
+            projectQkv(quantScratch(rnormed_), w, pk, rq_.buffer(),
+                       rk_.buffer(), rv_.buffer());
+        else
+            projectQkv(rnormed_, w, pk, rq_.buffer(), rk_.buffer(),
+                       rv_.buffer());
         // Attention is the one stage that needs image boundaries:
         // B x heads ragged work items, each at its own token count.
         mhaAt(l).forwardRaggedInto(pool, rq_, rk_, rv_, rattn_);
-        attentionPost(w, qw, pk, rx_.buffer(), rattn_.buffer());
-        mlpBlock(w, qw, pk, rx_.buffer(), rnormed_, rhidden_);
+        // Output projection and residual: x += W_O attn + b_O.
+        project(x, rattn_.buffer(), pk.wo, int8,
+                Gemm::Epilogue::accumulateWithBias(w.bo));
+        // MLP block: x += W_2 GELU(W_1 LN2(x)). The GELU rides the
+        // first GEMM's write-back, the bias + residual the second's.
+        layerNormRowsInto(rnormed_, x, w.ln2Gamma, w.ln2Beta);
+        project(rhidden_, rnormed_, pk.w1, int8,
+                Gemm::Epilogue::withBiasGelu(w.b1));
+        project(x, rhidden_, pk.w2, int8,
+                Gemm::Epilogue::accumulateWithBias(w.b2));
         // Progressive pruning: rank by this layer's CLS-attention mass
         // (from the packed Q/K the layer just used) and compact the
-        // survivors in place. keep=1.0 layers skip the pruner, which
-        // is what keeps the unpruned ragged path bitwise-identical to
-        // the uniform one.
-        if (keepSched_[l] < 1.0f)
-            pruner_.prune(rx_, rq_, rk_, cfg_.heads, keepSched_[l]);
-    }
-
-    out.copyFrom(rx_);
-}
-
-RaggedBatch
-VitEncoder::forwardRagged(const RaggedBatch &x, ThreadPool &pool)
-{
-    RaggedBatch out;
-    forwardRaggedInto(x, pool, out);
-    return out;
-}
-
-void
-VitEncoder::ensureQuantizedWeights()
-{
-    if (qlayers_.size() == layers_.size())
-        return;
-    qlayers_.clear();
-    qlayers_.reserve(layers_.size());
-    for (const LayerWeights &w : layers_) {
-        QuantizedLayerWeights q;
-        q.wq.assignWeights(w.wq);
-        q.wk.assignWeights(w.wk);
-        q.wv.assignWeights(w.wv);
-        q.wo.assignWeights(w.wo);
-        q.w1.assignWeights(w.w1);
-        q.w2.assignWeights(w.w2);
-        qlayers_.push_back(std::move(q));
+        // survivors in place. keep=1.0 layers skip the pruner.
+        const float keep = plan_->spec(l).tokenKeep;
+        if (keep < 1.0f)
+            pruner_.prune(rx_, rq_, rk_, cfg_.heads, keep);
     }
 }
 

@@ -9,17 +9,21 @@
  *
  * with the multi-head attention dispatched through the runtime layer, so
  * any kernel in the zoo (softmax baseline, ViTALiTy Taylor, Sanger
- * sparse, unified, ...) can be swapped in end-to-end. Every dense stage
- * (QKV/output projections, MLP) is a single fused GEMM call: bias adds,
- * the tanh-GELU, and the residual adds ride the GEMM epilogue
- * (tensor/gemm.h) instead of re-walking the activations, and the
- * single-image path additionally fans row bands of each GEMM across the
- * pool. forwardBatch runs
- * the same program over B images at once, fanning both the dense stages
- * (per image) and the attention (per image x head) across the pool. Weights are
- * randomly initialized (the repo reproduces the paper's compute and
- * accuracy *structure*, not trained checkpoints); everything is seeded,
- * so runs are bit-reproducible.
+ * sparse, unified, ...) can be swapped in end-to-end.
+ *
+ * There is one encoder program: forwardRaggedInto, over a ragged batch
+ * of mixed token-count images (tensor/ragged_batch.h) with progressive
+ * token pruning between layers. Every dense stage (QKV/output
+ * projections, MLP) is a single fused GEMM over the whole concatenated
+ * token buffer against the plan's prepacked weights: bias adds, the
+ * tanh-GELU, and the residual adds ride the GEMM epilogue
+ * (tensor/gemm.h), and the GEMM fans row bands across the pool.
+ * forwardInto is the one-image wrapper around that program. Every
+ * forward runs through a compiled EncoderPlan (model/encoder_plan.h);
+ * an encoder nobody compiled compiles the default PlanOptions on its
+ * first forward. Weights are randomly initialized (the repo reproduces
+ * the paper's compute and accuracy *structure*, not trained
+ * checkpoints); everything is seeded, so runs are bit-reproducible.
  *
  * The op-count rollup reproduces the paper's model-level GFLOPs
  * accounting: the attention contribution is exactly the kernel's
@@ -40,10 +44,7 @@
 #include "model/vit_config.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
-#include "tensor/quantized_matrix.h"
 #include "tensor/ragged_batch.h"
-#include "tensor/workspace.h"
 
 namespace vitality {
 
@@ -68,22 +69,6 @@ class VitEncoder
     };
 
     /**
-     * INT8 twins of one layer's projection weights (symmetric
-     * per-tensor, tensor/quantized_matrix.h), built lazily on the
-     * first forward under Gemm::QuantMode::Int8 and cached for the
-     * life of the encoder. Layer norms, biases, and the attention
-     * kernels stay fp32; under the int8 mode the dense stages (QKV,
-     * output projection, both MLP GEMMs) run through the quantized
-     * Gemm::multiply with per-row-quantized activations, and the
-     * fp32-vs-int8 output deviation is bounded and asserted by
-     * test_quant.
-     */
-    struct QuantizedLayerWeights
-    {
-        QuantizedMatrix wq, wk, wv, wo, w1, w2;
-    };
-
-    /**
      * @param config Architecture preset; validated.
      * @param kernel Attention kernel shared by every head and layer.
      * @param seed Weight-initialization seed.
@@ -99,71 +84,41 @@ class VitEncoder
     const LayerWeights &layer(size_t i) const { return layers_[i]; }
 
     /**
-     * The layer's int8 weight twins, building the whole cache on first
-     * use (the same cache the lazy int8 forward path fills). Not
-     * thread-safe against concurrent forwards — call it where a
-     * forward would be legal.
-     */
-    const QuantizedLayerWeights &quantizedLayer(size_t i);
-
-    /**
      * Compile and attach an execution plan (model/encoder_plan.h):
      * prepacks every dense-stage weight into the microkernel panel
-     * layout, freezes the per-layer kernel/keep schedule, pre-grows
-     * the workspace arena and activation buffers to the plan's
+     * layout, freezes the per-layer kernel/keep schedule (the
+     * VITALITY_TOKENS and VITALITY_LAYERS knobs are read here, not per
+     * call), pre-grows the activation buffers to the plan's
      * (maxBatch, maxTokens) high-water mark, and — for heterogeneous
-     * schedules — builds one MultiHeadAttention per layer. Subsequent
-     * forward/forwardBatch/forwardRagged calls execute through the
-     * plan; with a uniform schedule they are bitwise-identical to
-     * eager execution (test-asserted). Replaces any previous plan.
-     * Throws std::invalid_argument on malformed options and leaves the
-     * encoder unplanned.
+     * schedules — builds one MultiHeadAttention per layer. Replaces
+     * any previous plan. Throws std::invalid_argument on malformed
+     * options and keeps the previous plan.
      */
     void compilePlan(const PlanOptions &opts);
 
     /** compilePlan with default options (uniform schedule, batch 1). */
     void compilePlan();
 
-    /** The attached plan, or nullptr when executing eagerly. */
+    /**
+     * The attached plan: nullptr until compilePlan or the first
+     * forward. The first int8 forward adds int8 panels to it.
+     */
     const EncoderPlan *plan() const { return plan_.get(); }
 
-    /** Detach the plan; the encoder executes eagerly again. */
-    void clearPlan();
-
     /**
-     * Run the full encoder stack.
+     * Run the full encoder stack over one image: forwardRaggedInto on
+     * a one-image batch, pruning included.
      *
      * @param x Token embeddings, tokens x dModel.
-     * @param pool Pool the per-layer attention heads fan out across.
-     * @param out Resized to tokens x dModel. All tensor storage
-     * (activations, attention scratch) is recycled after the first
-     * call; only the per-layer head dispatch still makes a few small
-     * control-block allocations (task closures, loop state).
+     * @param pool Pool the GEMM row bands and attention heads fan
+     * across.
+     * @param out Resized to the surviving tokens x dModel (all tokens
+     * under an all-1.0 keep schedule); may alias x. Storage is
+     * recycled after the first call.
      */
     void forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out);
 
     Matrix forward(const Matrix &x, ThreadPool &pool);
-
-    /**
-     * Run the full encoder stack over a batch of B images.
-     *
-     * Per layer the dense stages (layer norms, QKV/output projections,
-     * MLP) are fanned across the pool one image per task, and the
-     * attention dispatch fans B x heads work items, which is what keeps
-     * a wide pool busy at small head counts. Per-image activation
-     * buffers are recycled across calls (Batch::resize semantics), and
-     * each pool worker runs attention through its own recycled
-     * AttentionContext, so the steady state stays allocation-free.
-     *
-     * @param x Batch of B token-embedding matrices, tokens x dModel.
-     * @param pool Pool the (image, head) work items fan out across.
-     * @param out Resized to B x tokens x dModel; must not alias x.
-     * Image b is bitwise-identical to forwardInto(x[b], ...) — the
-     * per-image float program is unchanged, only the scheduling differs.
-     */
-    void forwardBatchInto(const Batch &x, ThreadPool &pool, Batch &out);
-
-    Batch forwardBatch(const Batch &x, ThreadPool &pool);
 
     /**
      * Run the full encoder stack over a ragged batch of mixed
@@ -177,16 +132,13 @@ class VitEncoder
      * other rows present — while attention fans B x heads ragged work
      * items so every kernel runs at its image's own token count.
      *
-     * Between layers a TokenPruner applies the keep-ratio schedule:
-     * cfg.tokenKeep when non-empty, else the global VITALITY_TOKENS
-     * knob expanded over the default staged schedule
-     * (TokenPruner::buildSchedule). out's per-image row counts are the
-     * SURVIVING token counts, which may be smaller than the input's.
+     * Between layers a TokenPruner applies the plan's keep-ratio
+     * schedule. out's per-image row counts are the SURVIVING token
+     * counts, which may be smaller than the input's.
      *
-     * Parity contract (test-asserted): with an all-1.0 schedule the
-     * pruner never runs and image i of out is bitwise-identical to
-     * forwardInto(x[i]) / the uniform forwardBatch path; any image's
-     * result is bitwise-independent of what it shares the batch with.
+     * Independence of batch mates (test-asserted): any image's result
+     * is bitwise-identical to forwardInto on that image alone, whatever
+     * it shares the batch with.
      *
      * @param x Ragged batch; cols must equal dModel, any rows >= 1.
      * @param pool Pool dense row bands and attention items fan across.
@@ -216,8 +168,19 @@ class VitEncoder
     OpCounts opCounts() const;
 
   private:
-    /** Build qlayers_ from layers_ if not already cached. */
-    void ensureQuantizedWeights();
+    /** Attach a freshly compiled plan; the caller holds the guard. */
+    void installPlan(const PlanOptions &opts);
+
+    /**
+     * Compile the default plan if none is attached and add int8 panels
+     * under the int8 quant mode; returns whether this forward runs
+     * int8. Runs before the input is staged into rx_, which a compile
+     * pre-grows (contents unspecified).
+     */
+    bool preparePlan();
+
+    /** The layer loop over the staged input in rx_. */
+    void runLayers(ThreadPool &pool, bool int8);
 
     /** Layer l's attention dispatch: the per-layer instance when the
      * plan's schedule is heterogeneous, the shared mha_ otherwise. */
@@ -226,44 +189,29 @@ class VitEncoder
     VitConfig cfg_;
     MultiHeadAttention mha_;
     std::vector<LayerWeights> layers_;
-    /** Lazily-built INT8 weight cache, empty until the first int8
-     * forward (see QuantizedLayerWeights). */
-    std::vector<QuantizedLayerWeights> qlayers_;
-    Workspace ws_;
     /**
-     * Per-image batch activations, recycled across forwardBatch calls.
-     * The old projection scratch is gone: output and MLP projections
-     * accumulate straight into bx_ through the fused GEMM epilogue.
-     */
-    Batch bx_, bnormed_, bq_, bk_, bv_, battn_, bhidden_;
-    /**
-     * Ragged-path activations, recycled across forwardRagged calls.
-     * rx_/rq_/rk_/rv_/rattn_ carry the per-image structure (attention
-     * needs the boundaries); rnormed_/rhidden_ are plain buffers the
-     * row-independent dense stages run over.
+     * Activations, recycled across forwards. rx_/rq_/rk_/rv_/rattn_
+     * carry the per-image structure (attention needs the boundaries);
+     * rnormed_/rhidden_ are plain buffers the row-independent dense
+     * stages run over.
      */
     RaggedBatch rx_, rq_, rk_, rv_, rattn_;
     Matrix rnormed_, rhidden_;
     TokenPruner pruner_;
-    /** Effective per-layer keep schedule, resolved per call. */
-    std::vector<float> keepSched_;
     /**
-     * Attached execution plan (compilePlan), or null for eager
-     * execution. The plan borrows the weight storage above, so the
-     * encoder owning it is what makes the borrow safe.
+     * Attached execution plan. The plan borrows the weight storage
+     * above, so the encoder owning it is what makes the borrow safe.
      */
-    std::unique_ptr<const EncoderPlan> plan_;
+    std::unique_ptr<EncoderPlan> plan_;
     /**
      * Per-layer attention dispatch for heterogeneous plan schedules
      * (one instance per layer, each wrapping that layer's kernel).
-     * Empty for uniform schedules — mhaAt() then returns mha_, which
-     * is what keeps uniform planned execution bitwise-identical to
-     * eager (identical object, identical float program).
+     * Empty for uniform schedules — mhaAt() then returns mha_.
      */
     std::vector<std::unique_ptr<MultiHeadAttention>> planMha_;
     /**
-     * Set while a forward entry point is executing; the activation
-     * buffers above (and ws_) are shared per instance, so a concurrent
+     * Set while a forward or compile is executing; the activation
+     * buffers and the plan are shared per instance, so a concurrent
      * same-instance call throws std::logic_error instead of silently
      * corrupting them (same contract as MultiHeadAttention).
      */

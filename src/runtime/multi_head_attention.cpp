@@ -27,59 +27,6 @@ const char *const kConcurrentCall =
 } // namespace
 
 void
-MultiHeadAttention::checkShapes(const Matrix &q, const Matrix &k,
-                                const Matrix &v) const
-{
-    if (q.cols() != k.cols() || k.cols() != v.cols() ||
-        k.rows() != v.rows()) {
-        throw std::invalid_argument(
-            strfmt("multi-head: packed shape mismatch Q=%s K=%s V=%s",
-                   q.shapeStr().c_str(), k.shapeStr().c_str(),
-                   v.shapeStr().c_str()));
-    }
-    if (q.rows() == 0 || k.rows() == 0) {
-        throw std::invalid_argument(
-            strfmt("multi-head: empty token dimension Q=%s K=%s",
-                   q.shapeStr().c_str(), k.shapeStr().c_str()));
-    }
-    // cols % heads == 0 with cols > 0 guarantees d_h >= 1, so this is
-    // the only way to reach a zero head dimension.
-    if (q.cols() == 0) {
-        throw std::invalid_argument(
-            "multi-head: zero-width packed input (head dim would be 0)");
-    }
-    if (q.cols() % heads_ != 0) {
-        throw std::invalid_argument(
-            strfmt("multi-head: %zu columns not divisible by %zu heads",
-                   q.cols(), heads_));
-    }
-}
-
-void
-MultiHeadAttention::checkBatchShapes(const Batch &q, const Batch &k,
-                                     const Batch &v) const
-{
-    if (q.size() == 0)
-        throw std::invalid_argument("multi-head: empty batch");
-    if (q.size() != k.size() || k.size() != v.size()) {
-        throw std::invalid_argument(
-            strfmt("multi-head: batch size mismatch Q=%zu K=%zu V=%zu",
-                   q.size(), k.size(), v.size()));
-    }
-    // Batch establishes the uniform-shape invariant at construction, but
-    // images are handed out mutably; re-validate so a reshaped image
-    // fails loudly here rather than corrupting the head slicing.
-    for (size_t b = 0; b < q.size(); ++b) {
-        checkShapes(q[b], k[b], v[b]);
-        if (q[b].rows() != q[0].rows() || q[b].cols() != q[0].cols() ||
-            k[b].rows() != k[0].rows()) {
-            throw std::invalid_argument(
-                strfmt("multi-head: non-uniform batch at image %zu", b));
-        }
-    }
-}
-
-void
 MultiHeadAttention::checkRaggedShapes(const RaggedBatch &q,
                                       const RaggedBatch &k,
                                       const RaggedBatch &v) const
@@ -97,14 +44,14 @@ MultiHeadAttention::checkRaggedShapes(const RaggedBatch &q,
                    q.shapeStr().c_str(), k.shapeStr().c_str(),
                    v.shapeStr().c_str()));
     }
+    // cols % heads == 0 with cols > 0 guarantees d_h >= 1.
     if (q.cols() == 0 || q.cols() % heads_ != 0) {
         throw std::invalid_argument(
             strfmt("multi-head: %zu columns not divisible by %zu heads",
                    q.cols(), heads_));
     }
     // RaggedBatch guarantees >= 1 rows per image; only the K/V row
-    // agreement is left to check (q rows may differ, as in the Matrix
-    // overload). The offsets are re-derived per work item, so a caller
+    // agreement is left to check (q rows may differ). The offsets are re-derived per work item, so a caller
     // that reshaped a buffer behind the offsets fails here, not there.
     for (size_t b = 0; b < k.size(); ++b) {
         if (k.rowsOf(b) != v.rowsOf(b)) {
@@ -131,28 +78,23 @@ MultiHeadAttention::ensureContexts(size_t workers)
 }
 
 void
-MultiHeadAttention::runHead(AttentionContext &ctx, size_t head,
-                            const Matrix &q, const Matrix &k,
-                            const Matrix &v, Matrix &out)
+MultiHeadAttention::runItem(AttentionContext &ctx, size_t item,
+                            const RaggedBatch &q, const RaggedBatch &k,
+                            const RaggedBatch &v, RaggedBatch &out)
 {
-    runHeadRows(ctx, head, q.rowPtr(0), q.rows(), k.rowPtr(0),
-                v.rowPtr(0), k.rows(), q.cols(), out.rowPtr(0));
-}
-
-void
-MultiHeadAttention::runHeadRows(AttentionContext &ctx, size_t head,
-                                const float *q, size_t qRows,
-                                const float *k, const float *v,
-                                size_t kvRows, size_t packedCols,
-                                float *out)
-{
+    const size_t image = item / heads_;
+    const size_t head = item % heads_;
+    const size_t qRows = q.rowsOf(image);
+    const size_t kvRows = k.rowsOf(image);
+    const size_t packedCols = q.cols();
     const size_t dh = packedCols / heads_;
     const size_t c0 = head * dh;
 
     Workspace &ws = ctx.workspace();
     Workspace::Frame frame(ws);
 
-    // Gather the head's column slice into contiguous per-head operands.
+    // Gather the head's column slice of the image's row band into
+    // contiguous per-head operands.
     auto slice = [&](const float *src, size_t rows) -> Matrix & {
         Matrix &dst = ws.acquire(rows, dh);
         for (size_t r = 0; r < rows; ++r) {
@@ -163,111 +105,22 @@ MultiHeadAttention::runHeadRows(AttentionContext &ctx, size_t head,
         }
         return dst;
     };
-    Matrix &qh = slice(q, qRows);
-    Matrix &kh = slice(k, kvRows);
-    Matrix &vh = slice(v, kvRows);
+    Matrix &qh = slice(q.rowPtr(image, 0), qRows);
+    Matrix &kh = slice(k.rowPtr(image, 0), kvRows);
+    Matrix &vh = slice(v.rowPtr(image, 0), kvRows);
     Matrix &oh = ws.acquire(qRows, dh);
 
     kernel_->forwardInto(ctx, qh, kh, vh, oh);
 
     // Scatter back into the packed output; heads own disjoint column
     // ranges, so concurrent writers never touch the same floats.
+    float *band = out.rowPtr(image, 0);
     for (size_t r = 0; r < qRows; ++r) {
         const float *in = oh.rowPtr(r);
-        float *o = out + r * packedCols + c0;
+        float *o = band + r * packedCols + c0;
         for (size_t c = 0; c < dh; ++c)
             o[c] = in[c];
     }
-}
-
-void
-MultiHeadAttention::runRaggedItem(AttentionContext &ctx, size_t item,
-                                  const RaggedBatch &q,
-                                  const RaggedBatch &k,
-                                  const RaggedBatch &v, RaggedBatch &out)
-{
-    const size_t image = item / heads_;
-    const size_t head = item % heads_;
-    runHeadRows(ctx, head, q.rowPtr(image, 0), q.rowsOf(image),
-                k.rowPtr(image, 0), v.rowPtr(image, 0), k.rowsOf(image),
-                q.cols(), out.rowPtr(image, 0));
-}
-
-void
-MultiHeadAttention::forwardInto(ThreadPool &pool, const Matrix &q,
-                                const Matrix &k, const Matrix &v,
-                                Matrix &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkShapes(q, k, v);
-    // out is resized before the heads read q/k/v, so aliasing an input
-    // would corrupt it mid-flight.
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input");
-    ensureContexts(pool.size());
-
-    out.resize(q.rows(), q.cols());
-    // A single-worker pool buys no overlap; run the heads on the
-    // calling thread and skip H queue round-trips. Bitwise-identical:
-    // heads write disjoint column ranges either way.
-    if (pool.size() == 1) {
-        for (size_t head = 0; head < heads_; ++head)
-            runHead(*contexts_[0], head, q, k, v, out);
-        return;
-    }
-    pool.parallelFor(0, heads_, [&](size_t head, size_t worker) {
-        runHead(*contexts_[worker], head, q, k, v, out);
-    });
-}
-
-Matrix
-MultiHeadAttention::forward(ThreadPool &pool, const Matrix &q,
-                            const Matrix &k, const Matrix &v)
-{
-    Matrix out;
-    forwardInto(pool, q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardBatchInto(ThreadPool &pool, const Batch &q,
-                                     const Batch &k, const Batch &v,
-                                     Batch &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkBatchShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input batch");
-    ensureContexts(pool.size());
-
-    out.resize(q.size(), q.rows(), q.cols());
-    // One work item per (image, head) pair: B x H items keep the pool
-    // busy even when H alone is smaller than the worker count. A
-    // single-worker pool runs them inline instead (no overlap to buy).
-    if (pool.size() == 1) {
-        for (size_t item = 0; item < q.size() * heads_; ++item) {
-            const size_t image = item / heads_;
-            const size_t head = item % heads_;
-            runHead(*contexts_[0], head, q[image], k[image], v[image],
-                    out[image]);
-        }
-        return;
-    }
-    pool.parallelFor(0, q.size() * heads_, [&](size_t item, size_t worker) {
-        const size_t image = item / heads_;
-        const size_t head = item % heads_;
-        runHead(*contexts_[worker], head, q[image], k[image], v[image],
-                out[image]);
-    });
-}
-
-Batch
-MultiHeadAttention::forwardBatch(ThreadPool &pool, const Batch &q,
-                                 const Batch &k, const Batch &v)
-{
-    Batch out;
-    forwardBatchInto(pool, q, k, v, out);
-    return out;
 }
 
 void
@@ -284,16 +137,17 @@ MultiHeadAttention::forwardRaggedInto(ThreadPool &pool,
     ensureContexts(pool.size());
 
     out.resizeLike(q);
-    // One work item per (image, head) pair, exactly like the uniform
-    // batch path; only the band lookup differs. A single-worker pool
-    // runs them inline (no overlap to buy).
+    // One work item per (image, head) pair: B x H items keep the pool
+    // busy even when H alone is smaller than the worker count. A
+    // single-worker pool runs them inline (no overlap to buy); items
+    // write disjoint bands, so the result is the same either way.
     if (pool.size() == 1) {
         for (size_t item = 0; item < q.size() * heads_; ++item)
-            runRaggedItem(*contexts_[0], item, q, k, v, out);
+            runItem(*contexts_[0], item, q, k, v, out);
         return;
     }
     pool.parallelFor(0, q.size() * heads_, [&](size_t item, size_t worker) {
-        runRaggedItem(*contexts_[worker], item, q, k, v, out);
+        runItem(*contexts_[worker], item, q, k, v, out);
     });
 }
 
@@ -304,79 +158,6 @@ MultiHeadAttention::forwardRagged(ThreadPool &pool, const RaggedBatch &q,
 {
     RaggedBatch out;
     forwardRaggedInto(pool, q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardSequentialInto(const Matrix &q, const Matrix &k,
-                                          const Matrix &v, Matrix &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input");
-    out.resize(q.rows(), q.cols());
-    for (size_t head = 0; head < heads_; ++head)
-        runHead(seqContext_, head, q, k, v, out);
-}
-
-Matrix
-MultiHeadAttention::forwardSequential(const Matrix &q, const Matrix &k,
-                                      const Matrix &v)
-{
-    Matrix out;
-    forwardSequentialInto(q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardBatchSequentialInto(const Batch &q,
-                                               const Batch &k,
-                                               const Batch &v, Batch &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkBatchShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases an input batch");
-    out.resize(q.size(), q.rows(), q.cols());
-    for (size_t image = 0; image < q.size(); ++image) {
-        for (size_t head = 0; head < heads_; ++head)
-            runHead(seqContext_, head, q[image], k[image], v[image],
-                    out[image]);
-    }
-}
-
-Batch
-MultiHeadAttention::forwardBatchSequential(const Batch &q, const Batch &k,
-                                           const Batch &v)
-{
-    Batch out;
-    forwardBatchSequentialInto(q, k, v, out);
-    return out;
-}
-
-void
-MultiHeadAttention::forwardRaggedSequentialInto(const RaggedBatch &q,
-                                                const RaggedBatch &k,
-                                                const RaggedBatch &v,
-                                                RaggedBatch &out)
-{
-    CallGuard guard(inFlight_, kConcurrentCall);
-    checkRaggedShapes(q, k, v);
-    VITALITY_CHECK(&out != &q && &out != &k && &out != &v,
-                   "multi-head: out aliases a ragged input");
-    out.resizeLike(q);
-    for (size_t item = 0; item < q.size() * heads_; ++item)
-        runRaggedItem(seqContext_, item, q, k, v, out);
-}
-
-RaggedBatch
-MultiHeadAttention::forwardRaggedSequential(const RaggedBatch &q,
-                                            const RaggedBatch &k,
-                                            const RaggedBatch &v)
-{
-    RaggedBatch out;
-    forwardRaggedSequentialInto(q, k, v, out);
     return out;
 }
 

@@ -12,15 +12,15 @@
  * multi-head attention. The output projection W_O lives in the model
  * layer, matching where the paper draws the attention-vs-linear boundary.
  *
- * The batched entry points take a Batch of B packed images and fan
- * B x H independent work items across the pool, which is what keeps the
- * workers busy at small head counts (H=3 for DeiT-Tiny leaves most of a
- * pool idle when only one image is in flight). The ragged entry points
- * do the same over a RaggedBatch (tensor/ragged_batch.h): every kernel
- * invocation runs at its image's own token count, reading its row band
- * of the contiguous packed buffer — the variable-token execution the
- * token-pruning model path and mixed-resolution serving dispatch
- * through.
+ * The one entry point takes a RaggedBatch (tensor/ragged_batch.h) of B
+ * packed images and fans B x H independent work items across the pool,
+ * which is what keeps the workers busy at small head counts (H=3 for
+ * DeiT-Tiny leaves most of a pool idle when only one image is in
+ * flight). Every kernel invocation runs at its image's own token
+ * count, reading its row band of the contiguous packed buffer — the
+ * variable-token execution the token-pruning encoder dispatches
+ * through. A single-worker pool runs every item inline on the caller,
+ * which doubles as the sequential reference.
  *
  * Thread safety: one MultiHeadAttention instance owns per-worker
  * contexts, so concurrent forward calls on the same instance are not
@@ -40,12 +40,11 @@
 #include "attention/attention.h"
 #include "runtime/call_guard.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/ragged_batch.h"
 
 namespace vitality {
 
-/** Fans H heads (x B images) of an attention kernel across a pool. */
+/** Fans B images x H heads of an attention kernel across a pool. */
 class MultiHeadAttention
 {
   public:
@@ -60,35 +59,6 @@ class MultiHeadAttention
     const AttentionKernel &kernel() const { return *kernel_; }
 
     /**
-     * Parallel forward over packed inputs.
-     *
-     * @param pool Pool to fan heads across.
-     * @param q,k,v Packed matrices, n x (heads * d_h), n >= 1, d_h >= 1.
-     * @param out Packed result, resized to n x (heads * d_h).
-     */
-    void forwardInto(ThreadPool &pool, const Matrix &q, const Matrix &k,
-                     const Matrix &v, Matrix &out);
-
-    Matrix forward(ThreadPool &pool, const Matrix &q, const Matrix &k,
-                   const Matrix &v);
-
-    /**
-     * Batched parallel forward: B x heads work items across the pool.
-     *
-     * @param pool Pool to fan (image, head) pairs across.
-     * @param q,k,v Batches of B packed matrices (all three the same B).
-     * @param out Resized to B x n x (heads * d_h); must not alias an
-     * input batch. Bitwise-identical to B forwardInto calls, one per
-     * image (each (image, head) pair is an independent float program;
-     * only the scheduling differs).
-     */
-    void forwardBatchInto(ThreadPool &pool, const Batch &q, const Batch &k,
-                          const Batch &v, Batch &out);
-
-    Batch forwardBatch(ThreadPool &pool, const Batch &q, const Batch &k,
-                       const Batch &v);
-
-    /**
      * Ragged parallel forward: B x heads work items across the pool,
      * every kernel invocation at its image's own token count.
      *
@@ -96,12 +66,11 @@ class MultiHeadAttention
      * @param q,k,v Ragged batches over one contiguous buffer each
      * (tensor/ragged_batch.h). All three must agree on image count and
      * columns; k and v must share per-image row counts (q's may
-     * differ, as in the Matrix overload).
+     * differ: kv rows are the attended set).
      * @param out Resized to q's image structure; must not alias an
-     * input. Image i is bitwise-identical to forwardInto on that
-     * image's matrices — each (image, head) pair is the same float
-     * program, reading a row band of the packed buffer instead of a
-     * standalone Matrix.
+     * input. Image i is bitwise-identical to a one-image call on that
+     * image's rows, whatever the pool size — each (image, head) pair
+     * is the same float program.
      */
     void forwardRaggedInto(ThreadPool &pool, const RaggedBatch &q,
                            const RaggedBatch &k, const RaggedBatch &v,
@@ -111,66 +80,21 @@ class MultiHeadAttention
                               const RaggedBatch &k, const RaggedBatch &v);
 
     /**
-     * Reference path: identical computation, one head at a time on the
-     * calling thread. Bitwise-identical to the pooled path.
-     */
-    void forwardSequentialInto(const Matrix &q, const Matrix &k,
-                               const Matrix &v, Matrix &out);
-
-    Matrix forwardSequential(const Matrix &q, const Matrix &k,
-                             const Matrix &v);
-
-    /** Batched sequential reference, bitwise-identical to the pooled
-     * batch path. */
-    void forwardBatchSequentialInto(const Batch &q, const Batch &k,
-                                    const Batch &v, Batch &out);
-
-    Batch forwardBatchSequential(const Batch &q, const Batch &k,
-                                 const Batch &v);
-
-    /** Ragged sequential reference, bitwise-identical to the pooled
-     * ragged path. */
-    void forwardRaggedSequentialInto(const RaggedBatch &q,
-                                     const RaggedBatch &k,
-                                     const RaggedBatch &v,
-                                     RaggedBatch &out);
-
-    RaggedBatch forwardRaggedSequential(const RaggedBatch &q,
-                                        const RaggedBatch &k,
-                                        const RaggedBatch &v);
-
-    /**
      * Aggregate op counts for one multi-head invocation: the kernel's
      * per-head opCounts(n, d_model / heads) scaled by heads.
      */
     OpCounts opCounts(size_t n, size_t d_model) const;
 
   private:
-    void checkShapes(const Matrix &q, const Matrix &k,
-                     const Matrix &v) const;
-    void checkBatchShapes(const Batch &q, const Batch &k,
-                          const Batch &v) const;
     void checkRaggedShapes(const RaggedBatch &q, const RaggedBatch &k,
                            const RaggedBatch &v) const;
     /** Grow contexts_ to at least workers entries, under contextsMutex_. */
     void ensureContexts(size_t workers);
-    /** Run one head through ctx and write its output slice into out. */
-    void runHead(AttentionContext &ctx, size_t head, const Matrix &q,
-                 const Matrix &k, const Matrix &v, Matrix &out);
-    /**
-     * The runHead core over raw row bands: qRows x packedCols queries
-     * at q, kvRows x packedCols keys/values at k/v, output band at
-     * out. The Matrix and ragged paths both land here, which is what
-     * makes them bitwise-identical — a row band of a contiguous
-     * row-major buffer IS the standalone matrix.
-     */
-    void runHeadRows(AttentionContext &ctx, size_t head, const float *q,
-                     size_t qRows, const float *k, const float *v,
-                     size_t kvRows, size_t packedCols, float *out);
-    /** Ragged (image, head) work item: band lookup + runHeadRows. */
-    void runRaggedItem(AttentionContext &ctx, size_t item,
-                       const RaggedBatch &q, const RaggedBatch &k,
-                       const RaggedBatch &v, RaggedBatch &out);
+    /** Run (image, head) work item `item` through ctx, writing its
+     * column slice of the image's output band. */
+    void runItem(AttentionContext &ctx, size_t item, const RaggedBatch &q,
+                 const RaggedBatch &k, const RaggedBatch &v,
+                 RaggedBatch &out);
 
     AttentionKernelPtr kernel_;
     size_t heads_;
@@ -187,8 +111,6 @@ class MultiHeadAttention
      * contexts between two forwards) into std::logic_error.
      */
     std::atomic<bool> inFlight_{false};
-    /** Context for the sequential reference path. */
-    AttentionContext seqContext_;
 };
 
 } // namespace vitality

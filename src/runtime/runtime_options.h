@@ -53,14 +53,16 @@ namespace vitality {
 /**
  * @name Token keep-ratio knob (VITALITY_TOKENS)
  *
- * The global keep-ratio the ragged encoder path's token pruner applies
- * when a VitConfig carries no explicit per-layer schedule: the
+ * The global keep-ratio the encoder's token pruner applies when a
+ * VitConfig carries no explicit per-layer schedule: the
  * fraction of non-CLS tokens kept at each default prune point
  * (model/token_pruner.h builds the staged schedule). In (0, 1];
  * 1.0 = keep everything (pruning disabled, the default). Lazily
  * resolved from VITALITY_TOKENS on first read, same contract as the
  * other knob resolvers; malformed or out-of-range text warns and
- * falls back to 1.0. The uniform Batch/Matrix paths never consult it.
+ * falls back to 1.0. An encoder reads it once, when its plan compiles
+ * (model/encoder_plan.h); later changes reach it only through a
+ * recompile.
  */
 /// @{
 float tokenKeepRatio();
@@ -80,7 +82,8 @@ std::optional<float> parseTokenKeep(const char *text);
  * kernel. Empty = uniform (every layer runs the base kernel, the
  * default). Lazily resolved from VITALITY_LAYERS on first read, same
  * contract as the other knob resolvers; malformed text warns and falls
- * back to uniform. Eager (unplanned) execution never consults it.
+ * back to uniform. An encoder reads it once, when its plan compiles
+ * (which an uncompiled encoder does on its first forward).
  */
 /// @{
 std::string layerKernelSchedule();

@@ -65,7 +65,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/inference.h"
 #include "serve/latency_reservoir.h"
-#include "tensor/batch.h"
+#include "tensor/ragged_batch.h"
 
 namespace vitality {
 

@@ -4,7 +4,7 @@
  *
  * An InferenceRequest is one image's token matrix; its completion is a
  * std::future<InferenceResponse> the submitter holds while the
- * DynamicBatcher packs the request into a uniform Batch with whatever
+ * DynamicBatcher packs the request into a RaggedBatch with whatever
  * else arrived inside the batching window. The response carries the
  * encoded output plus the timing breakdown a latency SLO needs:
  * queueMs (submit to dispatch), computeMs (the batched forward), and

@@ -22,8 +22,8 @@
  *
  * The source matrix is BORROWED, not copied: the scalar backend (and
  * any validation) reads the original operand directly — the unpack-
- * free reference path that keeps planned-vs-eager parity bitwise on
- * every backend — so the source must outlive the PackedMatrix and must
+ * free reference path that keeps prepacked-vs-per-call parity bitwise
+ * on every backend — so the source must outlive the PackedMatrix and must
  * not be mutated after packing (same lifetime contract as
  * Gemm::Epilogue::bias). Repacking after a weight update is the
  * owner's job (EncoderPlan recompiles).

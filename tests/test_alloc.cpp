@@ -5,7 +5,7 @@
  *
  * The *Into paths document that after warm-up (first call at a given
  * shape) they perform no heap allocations: every intermediate lives in
- * a recycled Workspace / Batch / CsrMask. This suite turns that
+ * a recycled Workspace / RaggedBatch / CsrMask. This suite turns that
  * comment into a failing test: warm each path twice, then assert an
  * AllocationProbe around a third call observes zero allocations.
  *
@@ -20,8 +20,8 @@
 #include "base/rng.h"
 #include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tensor/ragged_batch.h"
 
 #include "alloc_tracker.h"
 #include "testing.h"
@@ -117,27 +117,6 @@ testEncoderForwardAllocationFree()
     }
 }
 
-/** VitEncoder::forwardBatchInto is allocation-free once warm. */
-void
-testEncoderForwardBatchAllocationFree()
-{
-    const VitConfig cfg = allocConfig();
-    const size_t images = 3;
-    Rng rng(0xa112);
-    const Batch x =
-        Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
-    ThreadPool pool(1);
-
-    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
-    Batch out;
-    enc.forwardBatchInto(x, pool, out);
-    enc.forwardBatchInto(x, pool, out);
-
-    testing::AllocationProbe probe;
-    enc.forwardBatchInto(x, pool, out);
-    T_CHECK(probe.allocations() == 0);
-}
-
 /**
  * The ragged path is allocation-free once warm at a lens profile —
  * including with token pruning active, where the pruner's ranking
@@ -181,8 +160,8 @@ testEncoderForwardRaggedAllocationFree()
 }
 
 /**
- * The INT8 dense path is allocation-free once warm too: the quantized
- * weight cache is built on the first int8 forward, and the per-call
+ * The INT8 dense path is allocation-free once warm too: the first int8
+ * forward adds the int8 panels to the plan, and the per-call
  * activation quantization writes into recycled thread-local scratch.
  */
 void
@@ -199,7 +178,7 @@ testEncoderInt8ForwardAllocationFree()
 
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
     Matrix out;
-    enc.forwardInto(x, pool, out); // builds the int8 weight cache
+    enc.forwardInto(x, pool, out); // compiles the plan, packs int8
     enc.forwardInto(x, pool, out);
 
     testing::AllocationProbe probe;
@@ -217,7 +196,6 @@ main()
     testTrackerObservesAllocations();
     testZooForwardIntoAllocationFree();
     testEncoderForwardAllocationFree();
-    testEncoderForwardBatchAllocationFree();
     testEncoderForwardRaggedAllocationFree();
     testEncoderInt8ForwardAllocationFree();
     return vitality::testing::finish("test_alloc");

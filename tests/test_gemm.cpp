@@ -26,10 +26,10 @@
 #include "base/rng.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "tensor/ragged_batch.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -571,7 +571,7 @@ testEpilogueValidation()
  * far tighter than any real kernel bug.
  */
 void
-testForwardBatchCrossBackendParity()
+testMultiHeadCrossBackendParity()
 {
     if (!avx2Here()) {
         std::printf("  avx2 unavailable; cross-backend batch parity "
@@ -582,20 +582,31 @@ testForwardBatchCrossBackendParity()
     ThreadPool pool;
     Rng rng(0x77);
     const size_t tokens = 197, heads = 6, dModel = 6 * 64, batchN = 3;
-    Batch q = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch k = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch v = Batch::randn(batchN, tokens, dModel, rng);
+    const std::vector<size_t> rows(batchN, tokens);
+    auto randomBatch = [&](float stddev) {
+        RaggedBatch b;
+        b.resize(rows.data(), batchN, dModel);
+        b.buffer().copyFrom(
+            Matrix::randn(b.totalRows(), dModel, rng, 0.0f, stddev));
+        return b;
+    };
+    const RaggedBatch q = randomBatch(0.5f);
+    const RaggedBatch k = randomBatch(0.5f);
+    const RaggedBatch v = randomBatch(1.0f);
 
     for (AttentionType type : {AttentionType::Taylor,
                                AttentionType::Softmax,
                                AttentionType::Unified}) {
         MultiHeadAttention mha(makeAttention(type), heads);
         Gemm::setActive(Gemm::Backend::Scalar);
-        Batch outScalar = mha.forwardBatch(pool, q, k, v);
+        const RaggedBatch outScalar = mha.forwardRagged(pool, q, k, v);
         Gemm::setActive(Gemm::Backend::Avx2);
-        Batch outAvx2 = mha.forwardBatch(pool, q, k, v);
+        const RaggedBatch outAvx2 = mha.forwardRagged(pool, q, k, v);
+        Matrix a, b;
         for (size_t i = 0; i < batchN; ++i) {
-            const float diff = maxAbsDiff(outScalar[i], outAvx2[i]);
+            outScalar.unpackImage(i, a);
+            outAvx2.unpackImage(i, b);
+            const float diff = maxAbsDiff(a, b);
             if (!(diff <= 1e-3f)) {
                 std::printf("  %s image %zu: cross-backend diff %g\n",
                             attentionTypeName(type).c_str(), i,
@@ -604,9 +615,7 @@ testForwardBatchCrossBackendParity()
             }
         }
         // Same backend twice is bitwise-identical (determinism).
-        Batch outAvx2b = mha.forwardBatch(pool, q, k, v);
-        for (size_t i = 0; i < batchN; ++i)
-            T_CHECK(outAvx2[i] == outAvx2b[i]);
+        T_CHECK(mha.forwardRagged(pool, q, k, v) == outAvx2);
     }
     Gemm::setActive(before);
 }
@@ -625,6 +634,6 @@ main()
     testFusedEpilogueParity();
     testFastGeluEpilogue();
     testEpilogueValidation();
-    testForwardBatchCrossBackendParity();
+    testMultiHeadCrossBackendParity();
     return vitality::testing::finish("test_gemm");
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Model-layer tests: DeiT presets, the DeiT-Tiny encoder end-to-end with
- * both the Taylor and softmax kernels, determinism, allocation-free
- * steady state, and the model-level OpCounts rollup against the per-head
- * counts scaled by heads x layers.
+ * both the Taylor and softmax kernels, determinism, per-image parity of
+ * the ragged batch path, the concurrent-call guard, a hand-rolled
+ * unfused reference, and the model-level OpCounts rollup against the
+ * per-head counts scaled by heads x layers.
  */
 
 #include <cmath>
@@ -11,14 +12,15 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "attention/zoo.h"
 #include "base/rng.h"
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/ragged_batch.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -37,6 +39,27 @@ testPresets()
     tiny.validate();
 }
 
+/** B random images of tokens x cols, packed into one ragged batch. */
+RaggedBatch
+randomImages(size_t images, size_t tokens, size_t cols, Rng &rng)
+{
+    std::vector<Matrix> imgs;
+    std::vector<const Matrix *> ptrs;
+    for (size_t b = 0; b < images; ++b)
+        imgs.push_back(Matrix::randn(tokens, cols, rng));
+    for (const Matrix &m : imgs)
+        ptrs.push_back(&m);
+    return RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
+}
+
+/** Pin an all-1.0 keep schedule: VITALITY_TOKENS cannot prune it. */
+VitConfig
+unpruned(VitConfig cfg)
+{
+    cfg.tokenKeep.assign(cfg.layers, 1.0f);
+    return cfg;
+}
+
 bool
 allFinite(const Matrix &m)
 {
@@ -50,7 +73,7 @@ allFinite(const Matrix &m)
 void
 testDeitTinyEndToEnd()
 {
-    const VitConfig cfg = VitConfig::deitTiny();
+    const VitConfig cfg = unpruned(VitConfig::deitTiny());
     Rng rng(0x3311);
     const Matrix x =
         Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
@@ -115,37 +138,43 @@ testOpCountRollup()
 }
 
 void
-testEncoderBatchMatchesPerImage()
+testEncoderRaggedMatchesPerImage()
 {
     // A small config keeps the three-kernel sweep fast while exercising
     // the same code paths as the DeiT presets.
-    const VitConfig cfg{"Test-Small", 2, 3, 48, 19, 96, {}, {}};
+    const VitConfig cfg = unpruned({"Test-Small", 2, 3, 48, 19, 96, {}, {}});
     cfg.validate();
     Rng rng(0x3422);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch x = randomImages(3, cfg.tokens, cfg.dModel, rng);
     ThreadPool pool(4);
 
     for (AttentionType type :
          {AttentionType::Taylor, AttentionType::Softmax,
           AttentionType::Unified}) {
         VitEncoder encoder(cfg, makeAttention(type), 0x7777);
-        const Batch y = encoder.forwardBatch(x, pool);
-        T_CHECK(y.size() == x.size() && y.rows() == cfg.tokens &&
-                y.cols() == cfg.dModel);
-        // Bitwise parity with per-image execution: the per-image float
-        // program is shared between the two paths.
-        for (size_t b = 0; b < x.size(); ++b)
-            T_CHECK(y[b] == encoder.forward(x[b], pool));
+        const RaggedBatch y = encoder.forwardRagged(x, pool);
+        T_CHECK(y.offsets() == x.offsets() && y.cols() == cfg.dModel);
+        // Bitwise parity with per-image execution.
+        Matrix img, want;
+        for (size_t b = 0; b < x.size(); ++b) {
+            x.unpackImage(b, img);
+            y.unpackImage(b, want);
+            T_CHECK(encoder.forward(img, pool) == want);
+        }
         // Recycled rerun stays identical.
-        T_CHECK(encoder.forwardBatch(x, pool) == y);
+        T_CHECK(encoder.forwardRagged(x, pool) == y);
     }
 
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x7777);
-    const Batch empty;
-    T_CHECK_THROWS(encoder.forwardBatch(empty, pool),
+    const RaggedBatch empty;
+    T_CHECK_THROWS(encoder.forwardRagged(empty, pool),
                    std::invalid_argument);
-    const Batch wrong = Batch::randn(2, cfg.tokens + 1, cfg.dModel, rng);
-    T_CHECK_THROWS(encoder.forwardBatch(wrong, pool),
+    const RaggedBatch wrong =
+        randomImages(2, cfg.tokens, cfg.dModel + 1, rng);
+    T_CHECK_THROWS(encoder.forwardRagged(wrong, pool),
+                   std::invalid_argument);
+    const Matrix wrongTokens = Matrix::randn(cfg.tokens + 1, cfg.dModel, rng);
+    T_CHECK_THROWS(encoder.forward(wrongTokens, pool),
                    std::invalid_argument);
 }
 
@@ -213,16 +242,19 @@ testEncoderRejectsConcurrentCalls()
     ThreadPool pool(2);
     Rng rng(0x3455);
     const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
-    const Batch xb = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch xr = randomImages(2, cfg.tokens, cfg.dModel, rng);
 
+    // The parked call is the one-image wrapper, which also compiles the
+    // encoder's plan on this first forward.
     std::thread first([&] { (void)encoder.forward(x, pool); });
     kernel->waitEntered();
 
     Matrix out;
     T_CHECK_THROWS(encoder.forwardInto(x, pool, out), std::logic_error);
-    Batch bout;
-    T_CHECK_THROWS(encoder.forwardBatchInto(xb, pool, bout),
+    RaggedBatch rout;
+    T_CHECK_THROWS(encoder.forwardRaggedInto(xr, pool, rout),
                    std::logic_error);
+    T_CHECK_THROWS(encoder.compilePlan(), std::logic_error);
 
     kernel->release();
     first.join();
@@ -240,7 +272,7 @@ testEncoderMatchesUnfusedReference()
     // documented to be bitwise-identical to the separate op passes, so
     // a hand-rolled one-layer reference built from the value ops must
     // match the encoder output exactly.
-    const VitConfig cfg{"Test-1L", 1, 2, 16, 9, 32, {}, {}};
+    const VitConfig cfg = unpruned({"Test-1L", 1, 2, 16, 9, 32, {}, {}});
     cfg.validate();
     Rng rng(0x34aa);
     const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
@@ -265,7 +297,14 @@ testEncoderMatchesUnfusedReference()
     const Matrix q = broadcastAddRow(matmul(normed1, w.wq), w.bq);
     const Matrix k = broadcastAddRow(matmul(normed1, w.wk), w.bk);
     const Matrix v = broadcastAddRow(matmul(normed1, w.wv), w.bv);
-    const Matrix attn = mha.forwardSequential(q, k, v);
+    // The attention reference: every head inline on the caller.
+    ThreadPool inline1(1);
+    const Matrix *qp = &q, *kp = &k, *vp = &v;
+    Matrix attn;
+    mha.forwardRagged(inline1, RaggedBatch::fromMatrices(&qp, 1),
+                      RaggedBatch::fromMatrices(&kp, 1),
+                      RaggedBatch::fromMatrices(&vp, 1))
+        .unpackImage(0, attn);
     const Matrix xr =
         add(x, broadcastAddRow(matmul(attn, w.wo), w.bo));
     const Matrix normed2 = layerNormRows(xr, w.ln2Gamma, w.ln2Beta);
@@ -279,17 +318,21 @@ testEncoderMatchesUnfusedReference()
 }
 
 void
-testDeitTinyBatchParity()
+testDeitTinyRaggedParity()
 {
     // One real-preset spot check: DeiT-Tiny, Taylor, B=2.
-    const VitConfig cfg = VitConfig::deitTiny();
+    const VitConfig cfg = unpruned(VitConfig::deitTiny());
     Rng rng(0x3433);
-    const Batch x = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch x = randomImages(2, cfg.tokens, cfg.dModel, rng);
     ThreadPool pool(4);
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x1234);
-    const Batch y = encoder.forwardBatch(x, pool);
-    for (size_t b = 0; b < x.size(); ++b)
-        T_CHECK(y[b] == encoder.forward(x[b], pool));
+    const RaggedBatch y = encoder.forwardRagged(x, pool);
+    Matrix img, want;
+    for (size_t b = 0; b < x.size(); ++b) {
+        x.unpackImage(b, img);
+        y.unpackImage(b, want);
+        T_CHECK(encoder.forward(img, pool) == want);
+    }
 }
 
 } // namespace
@@ -300,9 +343,9 @@ main()
     testPresets();
     testDeitTinyEndToEnd();
     testOpCountRollup();
-    testEncoderBatchMatchesPerImage();
+    testEncoderRaggedMatchesPerImage();
     testEncoderRejectsConcurrentCalls();
     testEncoderMatchesUnfusedReference();
-    testDeitTinyBatchParity();
+    testDeitTinyRaggedParity();
     return vitality::testing::finish("test_model");
 }

@@ -3,14 +3,17 @@
  * Compiled-plan suite: PackedMatrix / prepacked-GEMM parity, the
  * EncoderPlan compile step, and planned VitEncoder execution.
  *
- * The acceptance-grade assertion lives here: a planned encoder with a
- * uniform schedule is BITWISE-identical to the eager encoder — for
- * every kernel in the zoo, under fp32 and int8 dense stages, with
- * pruning off (keep 1.0) and on (keep 0.5), across the Matrix, Batch,
- * and Ragged forward paths. The prepacked weight panels are the same
- * bytes the per-call pack loop would have produced and the scalar
- * backend runs an unpack-free reference path, so "prepacked" must
- * never mean "different floats".
+ * Every forward runs through a plan, so the assertions here pin down
+ * how a plan comes to exist and that none of those routes changes a
+ * float: the one-image forwardInto is BITWISE-identical to image 0 of
+ * a one-image forwardRaggedInto (for every kernel in the zoo, fp32 and
+ * int8, on one worker and on three); an encoder nobody compiled
+ * compiles the default plan on its first forward and matches an
+ * explicit compilePlan(); and the first int8 forward on an fp32-only
+ * plan adds int8 panels that match a plan compiled with packInt8. The
+ * prepacked weight panels are the same bytes the per-call pack loop
+ * would have produced and the scalar backend runs an unpack-free
+ * reference path, so "prepacked" never means "different floats".
  *
  * Heterogeneous schedules are cross-checked against ground truth:
  * kernel construction is deterministic, so a Taylor encoder planned
@@ -175,8 +178,8 @@ testPackedGemmInt8Parity()
     T_CHECK_THROWS(PackedMatrix().packInt8(qa), std::invalid_argument);
 }
 
-/** Run every forward path of an encoder pair and assert bitwise
- * parity between them. */
+/** Run both forward entry points of an encoder pair and assert
+ * bitwise parity between them. */
 void
 checkEncoderParity(VitEncoder &ref, VitEncoder &planned,
                    ThreadPool &pool)
@@ -187,12 +190,6 @@ checkEncoderParity(VitEncoder &ref, VitEncoder &planned,
         Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
     T_CHECK(ref.forward(x, pool) == planned.forward(x, pool));
 
-    Batch bx;
-    bx.resize(2, cfg.tokens, cfg.dModel);
-    bx[0].copyFrom(x);
-    bx[1].copyFrom(Matrix::randn(cfg.tokens, cfg.dModel, rng));
-    T_CHECK(ref.forwardBatch(bx, pool) == planned.forwardBatch(bx, pool));
-
     RaggedBatch rx;
     const size_t rows[2] = {cfg.tokens, cfg.tokens - 5};
     rx.resize(rows, 2, cfg.dModel);
@@ -202,34 +199,106 @@ checkEncoderParity(VitEncoder &ref, VitEncoder &planned,
             planned.forwardRagged(rx, pool));
 }
 
-/** Uniform-schedule planned execution is bitwise-identical to eager
- * for every zoo kernel x {fp32, int8} x keep {1.0, 0.5} x path. */
+/** forwardInto(x) is image 0 of forwardRaggedInto on a one-image
+ * batch, bitwise: every zoo kernel x {fp32, int8} x keep {1.0, 0.5},
+ * on one worker and on three. */
 void
-testPlannedEncoderParity()
+testWrapperMatchesRaggedForward()
 {
-    ThreadPool pool(2);
-    for (AttentionType type : allAttentionTypes()) {
-        for (const bool int8 : {false, true}) {
-            QuantGuard guard;
-            Gemm::setQuantMode(int8 ? Gemm::QuantMode::Int8
-                                    : Gemm::QuantMode::Off);
-            for (const float keep : {1.0f, 0.5f}) {
-                const VitConfig cfg = keep < 1.0f
-                                          ? planConfig().withTokenKeep(
-                                                keep)
-                                          : planConfig();
-                VitEncoder ref(cfg, makeAttention(type), 42);
-                VitEncoder planned(cfg, makeAttention(type), 42);
-                PlanOptions opts;
-                opts.maxBatch = 2;
-                opts.packInt8 = int8;
-                planned.compilePlan(opts);
-                T_CHECK(planned.plan() != nullptr);
-                T_CHECK(planned.plan()->uniform());
-                T_CHECK(planned.plan()->hasInt8() == int8);
-                checkEncoderParity(ref, planned, pool);
+    for (const size_t workers : {1, 3}) {
+        ThreadPool pool(workers);
+        for (AttentionType type : allAttentionTypes()) {
+            for (const bool int8 : {false, true}) {
+                QuantGuard guard;
+                Gemm::setQuantMode(int8 ? Gemm::QuantMode::Int8
+                                        : Gemm::QuantMode::Off);
+                for (const float keep : {1.0f, 0.5f}) {
+                    const VitConfig cfg = planConfig().withTokenKeep(keep);
+                    VitEncoder enc(cfg, makeAttention(type), 42);
+                    Rng rng(0xabd);
+                    const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel,
+                                                   rng, 0.0f, 1.0f);
+                    const Matrix *ptr = &x;
+                    const RaggedBatch rx = RaggedBatch::fromMatrices(&ptr, 1);
+                    RaggedBatch ry;
+                    enc.forwardRaggedInto(rx, pool, ry);
+                    Matrix want, got;
+                    ry.unpackImage(0, want);
+                    enc.forwardInto(x, pool, got);
+                    T_CHECK(got == want);
+                }
             }
         }
+    }
+}
+
+/** An encoder nobody compiled compiles the default plan on its first
+ * forward — through either entry point — and computes exactly what an
+ * explicitly compiled twin computes. */
+void
+testFirstForwardCompilesDefaultPlan()
+{
+    const VitConfig cfg = planConfig();
+    Rng rng(0xabe);
+    const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
+    const Matrix *ptr = &x;
+    const RaggedBatch rx = RaggedBatch::fromMatrices(&ptr, 1);
+    for (const size_t workers : {1, 3}) {
+        ThreadPool pool(workers);
+        for (AttentionType type :
+             {AttentionType::Taylor, AttentionType::Softmax}) {
+            VitEncoder compiled(cfg, makeAttention(type), 42);
+            compiled.compilePlan();
+            const Matrix want = compiled.forward(x, pool);
+
+            VitEncoder lazy(cfg, makeAttention(type), 42);
+            T_CHECK(lazy.plan() == nullptr);
+            T_CHECK(lazy.forward(x, pool) == want);
+            T_CHECK(lazy.plan() != nullptr && lazy.plan()->uniform());
+            T_CHECK(lazy.plan()->maxBatch() == 1);
+
+            VitEncoder lazyRagged(cfg, makeAttention(type), 42);
+            Matrix got;
+            lazyRagged.forwardRagged(rx, pool).unpackImage(0, got);
+            T_CHECK(lazyRagged.plan() != nullptr);
+            T_CHECK(got == want);
+        }
+    }
+}
+
+/** The first int8 forward on an fp32-only plan adds int8 panels to
+ * that plan, bitwise-equal to a plan compiled with packInt8; the fp32
+ * panels keep serving fp32 forwards unchanged. */
+void
+testFirstInt8ForwardAddsPanels()
+{
+    const VitConfig cfg = planConfig();
+    Rng rng(0xabf);
+    const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
+    for (const size_t workers : {1, 3}) {
+        ThreadPool pool(workers);
+        QuantGuard guard;
+        Gemm::setQuantMode(Gemm::QuantMode::Off);
+        VitEncoder enc(cfg, makeAttention(AttentionType::Taylor), 42);
+        enc.compilePlan();
+        const Matrix fp32 = enc.forward(x, pool);
+        T_CHECK(!enc.plan()->hasInt8());
+
+        VitEncoder packed(cfg, makeAttention(AttentionType::Taylor), 42);
+        PlanOptions opts;
+        opts.packInt8 = true;
+        packed.compilePlan(opts);
+        T_CHECK(packed.plan()->hasInt8());
+
+        Gemm::setQuantMode(Gemm::QuantMode::Int8);
+        const EncoderPlan *before = enc.plan();
+        const Matrix int8 = enc.forward(x, pool);
+        T_CHECK(enc.plan() == before && enc.plan()->hasInt8());
+        T_CHECK(int8 == packed.forward(x, pool));
+        T_CHECK(int8 != fp32);
+
+        Gemm::setQuantMode(Gemm::QuantMode::Off);
+        T_CHECK(enc.forward(x, pool) == fp32);
     }
 }
 
@@ -241,6 +310,9 @@ testHeteroScheduleExecution()
     ThreadPool pool(2);
     const VitConfig cfg = planConfig();
     VitEncoder softmax(cfg, makeAttention(AttentionType::Softmax), 42);
+    PlanOptions uniform;
+    uniform.layerKernels = std::string(); // shut out VITALITY_LAYERS
+    softmax.compilePlan(uniform);
     VitEncoder planned(cfg, makeAttention(AttentionType::Taylor), 42);
     PlanOptions opts;
     opts.layerKernels = "softmax:0-3";
@@ -266,11 +338,13 @@ testHeteroScheduleExecution()
     const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
     T_CHECK(mixed.forward(x, pool) == mixed2.forward(x, pool));
 
-    // clearPlan() returns to eager execution.
-    VitEncoder eager(cfg, makeAttention(AttentionType::Taylor), 42);
-    mixed.clearPlan();
-    T_CHECK(mixed.plan() == nullptr);
-    T_CHECK(mixed.forward(x, pool) == eager.forward(x, pool));
+    // Recompiling with a pinned-uniform schedule returns every layer
+    // to the encoder's own kernel.
+    VitEncoder taylor(cfg, makeAttention(AttentionType::Taylor), 42);
+    taylor.compilePlan(uniform);
+    mixed.compilePlan(uniform);
+    T_CHECK(mixed.plan()->uniform());
+    T_CHECK(mixed.forward(x, pool) == taylor.forward(x, pool));
 }
 
 /** Malformed schedules are rejected everywhere they can enter, and a
@@ -394,7 +468,9 @@ main()
 {
     testPackedGemmFp32Parity();
     testPackedGemmInt8Parity();
-    testPlannedEncoderParity();
+    testWrapperMatchesRaggedForward();
+    testFirstForwardCompilesDefaultPlan();
+    testFirstInt8ForwardAddsPanels();
     testHeteroScheduleExecution();
     testScheduleValidation();
     testPlannedRaggedZeroAlloc();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency stress tests, written for the ThreadSanitizer CI leg
- * (they also run in the plain suites): concurrent forwardBatch on
+ * (they also run in the plain suites): concurrent ragged forwards on
  * distinct encoders sharing one pool, ThreadPool construction and
  * destruction racing in-flight GEMMs (both the uninstall path and the
  * runner handoff to a surviving pool), and CallGuard contention on a
@@ -23,8 +23,8 @@
 #include "model/vit_encoder.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
+#include "tensor/ragged_batch.h"
 
 #include "testing.h"
 
@@ -60,22 +60,26 @@ testConcurrentEncodersShareOnePool()
     ThreadPool pool(3);
 
     std::vector<std::unique_ptr<VitEncoder>> encoders;
-    std::vector<Batch> inputs, refs;
+    std::vector<RaggedBatch> inputs, refs;
     for (size_t c = 0; c < callers; ++c) {
         encoders.push_back(std::make_unique<VitEncoder>(
             cfg, makeAttention(AttentionType::Taylor), 0x5eed + c));
         Rng rng(0xba7c + c);
-        inputs.push_back(
-            Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
-        refs.push_back(encoders[c]->forwardBatch(inputs[c], pool));
+        RaggedBatch x;
+        const std::vector<size_t> rows(images, cfg.tokens);
+        x.resize(rows.data(), images, cfg.dModel);
+        x.buffer().copyFrom(Matrix::randn(x.totalRows(), cfg.dModel, rng,
+                                          0.0f, 0.5f));
+        inputs.push_back(std::move(x));
+        refs.push_back(encoders[c]->forwardRagged(inputs[c], pool));
     }
 
     std::vector<std::thread> threads;
     for (size_t c = 0; c < callers; ++c) {
         threads.emplace_back([&, c] {
             for (int iter = 0; iter < 4; ++iter) {
-                const Batch out =
-                    encoders[c]->forwardBatch(inputs[c], pool);
+                const RaggedBatch out =
+                    encoders[c]->forwardRagged(inputs[c], pool);
                 T_CHECK(out == refs[c]);
             }
         });
@@ -180,13 +184,17 @@ testCallGuardContention()
 {
     const size_t n = 32, heads = 2, dm = 16;
     Rng rng(0xca11);
-    const Matrix q = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix k = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix v = Matrix::randn(n, dm, rng);
+    const Matrix qm = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
+    const Matrix km = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
+    const Matrix vm = Matrix::randn(n, dm, rng);
+    const Matrix *qp = &qm, *kp = &km, *vp = &vm;
+    const RaggedBatch q = RaggedBatch::fromMatrices(&qp, 1);
+    const RaggedBatch k = RaggedBatch::fromMatrices(&kp, 1);
+    const RaggedBatch v = RaggedBatch::fromMatrices(&vp, 1);
 
     ThreadPool pool(2);
     MultiHeadAttention mha(makeAttention(AttentionType::Softmax), heads);
-    const Matrix ref = mha.forward(pool, q, k, v);
+    const RaggedBatch ref = mha.forwardRagged(pool, q, k, v);
 
     const int threads = 4, iters = 8;
     std::atomic<int> completed{0}, refused{0};
@@ -195,8 +203,8 @@ testCallGuardContention()
         callers.emplace_back([&] {
             for (int i = 0; i < iters; ++i) {
                 try {
-                    Matrix out;
-                    mha.forwardInto(pool, q, k, v, out);
+                    RaggedBatch out;
+                    mha.forwardRaggedInto(pool, q, k, v, out);
                     T_CHECK(out == ref);
                     completed.fetch_add(1);
                 } catch (const std::logic_error &) {
@@ -210,8 +218,8 @@ testCallGuardContention()
     T_CHECK(completed.load() + refused.load() == threads * iters);
     T_CHECK(completed.load() >= 1);
 
-    Matrix out;
-    mha.forwardInto(pool, q, k, v, out);
+    RaggedBatch out;
+    mha.forwardRaggedInto(pool, q, k, v, out);
     T_CHECK(out == ref);
 
     // Same contract on the encoder's guard.

@@ -7,9 +7,9 @@
  * The two acceptance-grade assertions live here:
  *
  *  - keep = 1.0 parity: VitEncoder::forwardRagged over a uniform-lens
- *    batch is BITWISE-identical, per image, to forwardBatch — for the
- *    Taylor, Softmax, and Unified kernels. This is what lets the
- *    serving layer dispatch everything through the ragged path.
+ *    batch is BITWISE-identical, per image, to the one-image forward —
+ *    for the Taylor, Softmax, and Unified kernels. This is what lets
+ *    the serving layer dispatch everything through the ragged path.
  *  - batch independence: in a mixed {1, 17, n} batch every image's
  *    result is bitwise-identical to a single-image ragged forward of
  *    the same input, so a request's answer never depends on what it
@@ -132,13 +132,6 @@ testPackUnpackRoundTrip()
     RaggedBatch shorter = randomRagged({1, 9}, 6, 1);
     T_CHECK(shorter != rb); // structure mismatch, not a throw
 
-    // A uniform Batch converts losslessly.
-    const Batch ub = Batch::randn(2, 5, 6, rng);
-    const RaggedBatch urb = RaggedBatch::fromBatch(ub);
-    T_CHECK(urb.size() == 2 && urb.rowsOf(0) == 5 && urb.rowsOf(1) == 5);
-    urb.unpackImage(1, out);
-    T_CHECK(out == ub.at(1));
-
     // packFrom error paths.
     RaggedBatch dst;
     T_CHECK_THROWS(dst.packFrom(ptrs, 0), std::invalid_argument);
@@ -183,9 +176,9 @@ testShrinkRows()
 // ------------------------------------------- ragged attention fan-out
 
 /**
- * Ragged MHA over mixed lens (including the n = 1 edge) equals both
- * its own sequential twin and a per-image packed forwardSequential —
- * bitwise, for every kernel in the zoo.
+ * Ragged MHA over mixed lens (including the n = 1 edge) on a pool of 3
+ * equals both the inline run on ThreadPool(1) and a one-image call per
+ * image — bitwise, for every kernel in the zoo.
  */
 void
 testRaggedAttentionParity()
@@ -195,23 +188,27 @@ testRaggedAttentionParity()
     const RaggedBatch q = randomRagged(lens, cols, 0xaa01);
     const RaggedBatch k = randomRagged(lens, cols, 0xaa02);
     const RaggedBatch v = randomRagged(lens, cols, 0xaa03);
-    ThreadPool pool(3);
+    ThreadPool pool(3), inline1(1);
 
     for (AttentionType type : allAttentionTypes()) {
         MultiHeadAttention mha(makeAttention(type), heads);
-        RaggedBatch out, outSeq;
+        RaggedBatch out, outInline;
         mha.forwardRaggedInto(pool, q, k, v, out);
         T_CHECK(out.offsets() == q.offsets());
-        mha.forwardRaggedSequentialInto(q, k, v, outSeq);
-        T_CHECK(out == outSeq);
+        mha.forwardRaggedInto(inline1, q, k, v, outInline);
+        T_CHECK(out == outInline);
 
-        // Per-image reference through the uniform packed path.
+        // Per-image reference: each image alone, inline.
         Matrix qi, ki, vi, want, got;
         for (size_t i = 0; i < lens.size(); ++i) {
             q.unpackImage(i, qi);
             k.unpackImage(i, ki);
             v.unpackImage(i, vi);
-            want = mha.forwardSequential(qi, ki, vi);
+            const Matrix *qp = &qi, *kp = &ki, *vp = &vi;
+            mha.forwardRagged(inline1, RaggedBatch::fromMatrices(&qp, 1),
+                              RaggedBatch::fromMatrices(&kp, 1),
+                              RaggedBatch::fromMatrices(&vp, 1))
+                .unpackImage(0, want);
             out.unpackImage(i, got);
             T_CHECK(got == want);
         }
@@ -247,9 +244,9 @@ testRaggedAttentionShapeChecks()
 // --------------------------------------------- encoder parity (keep=1)
 
 /**
- * THE acceptance criterion: with keep = 1.0 (the default) the ragged
- * encoder path over uniform lens is bitwise-identical per image to
- * forwardBatch, and in a mixed batch every image equals its own
+ * THE acceptance criterion: with keep = 1.0 the ragged encoder path
+ * over uniform lens is bitwise-identical per image to the one-image
+ * forward, and in a mixed batch every image equals its own
  * single-image ragged forward.
  */
 void
@@ -261,22 +258,20 @@ testEncoderRaggedKeepOneParity()
     // sweep too.
     cfg.tokenKeep.assign(cfg.layers, 1.0f);
     ThreadPool pool(3);
-    Rng rng(0xe11);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
+    const RaggedBatch rx = randomRagged(
+        {cfg.tokens, cfg.tokens, cfg.tokens}, cfg.dModel, 0xe11);
 
     for (AttentionType type :
          {AttentionType::Taylor, AttentionType::Softmax,
           AttentionType::Unified}) {
         VitEncoder enc(cfg, makeAttention(type), 0xbeef);
-        const Batch want = enc.forwardBatch(x, pool);
-
-        const RaggedBatch rx = RaggedBatch::fromBatch(x);
         const RaggedBatch got = enc.forwardRagged(rx, pool);
         T_CHECK(got.size() == 3);
-        Matrix img;
+        Matrix in, img;
         for (size_t i = 0; i < 3; ++i) {
+            rx.unpackImage(i, in);
             got.unpackImage(i, img);
-            T_CHECK(img == want.at(i)); // bitwise
+            T_CHECK(img == enc.forward(in, pool)); // bitwise
         }
     }
 }
@@ -387,7 +382,7 @@ testEncoderPruningStructure()
 }
 
 /** The global VITALITY_TOKENS knob drives the default staged schedule
- * when the config carries none. */
+ * when the config carries none, frozen when the plan compiles. */
 void
 testGlobalKeepKnob()
 {
@@ -410,9 +405,11 @@ testGlobalKeepKnob()
     const RaggedBatch got = enc.forwardRagged(x, pool);
     T_CHECK(got.rowsOf(0) == TokenPruner::keptTokens(cfg.tokens, 0.5f));
 
-    // Back at 1.0 the same encoder instance stops pruning (the
-    // schedule re-resolves per call).
+    // The first forward compiled the plan, which froze the knob: back
+    // at 1.0 the encoder keeps pruning until a recompile reads it again.
     setTokenKeepRatio(1.0f);
+    T_CHECK(enc.forwardRagged(x, pool).rowsOf(0) == got.rowsOf(0));
+    enc.compilePlan();
     const RaggedBatch full = enc.forwardRagged(x, pool);
     T_CHECK(full.rowsOf(0) == cfg.tokens);
 }

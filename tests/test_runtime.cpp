@@ -1,9 +1,9 @@
 /**
  * @file
  * Runtime-layer tests: ThreadPool scheduling and exception propagation,
- * MultiHeadAttention's pooled path against both its own sequential
- * reference and a hand-rolled per-head loop over the legacy forward(),
- * the batched (B x heads) dispatch against per-image execution, the
+ * MultiHeadAttention's pooled ragged dispatch against the inline run on
+ * a one-worker pool and a hand-rolled per-head loop over the legacy
+ * forward(), the (B x heads) dispatch against per-image execution, the
  * concurrent-caller guard, and degenerate-shape rejection.
  */
 
@@ -19,14 +19,46 @@
 #include "runtime/call_guard.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/ragged_batch.h"
 #include "testing.h"
 
 using namespace vitality;
 
 namespace {
+
+/** One matrix as a one-image ragged batch. */
+RaggedBatch
+one(const Matrix &m)
+{
+    const Matrix *ptr = &m;
+    return RaggedBatch::fromMatrices(&ptr, 1);
+}
+
+/** B random images of n x cols tokens as one ragged batch. */
+RaggedBatch
+randomImages(size_t images, size_t n, size_t cols, Rng &rng,
+             float stddev = 1.0f)
+{
+    std::vector<Matrix> imgs;
+    std::vector<const Matrix *> ptrs;
+    for (size_t b = 0; b < images; ++b)
+        imgs.push_back(Matrix::randn(n, cols, rng, 0.0f, stddev));
+    for (const Matrix &m : imgs)
+        ptrs.push_back(&m);
+    return RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
+}
+
+/** One-image multi-head forward, unpacked. */
+Matrix
+mhaForward(MultiHeadAttention &mha, ThreadPool &pool, const Matrix &q,
+           const Matrix &k, const Matrix &v)
+{
+    Matrix out;
+    mha.forwardRagged(pool, one(q), one(k), one(v)).unpackImage(0, out);
+    return out;
+}
 
 void
 testThreadPoolRunsEverything()
@@ -255,14 +287,15 @@ testMultiHeadMatchesSequentialAndLegacy()
     const Matrix k = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
     const Matrix v = Matrix::randn(n, dm, rng);
 
-    ThreadPool pool(4);
+    ThreadPool pool(4), inline1(1);
     for (const AttentionKernelPtr &kernel : makeAttentionZoo()) {
         MultiHeadAttention mha(kernel, heads);
 
-        // Pooled vs sequential: the per-head programs are identical, so
-        // the packed outputs are bitwise equal regardless of scheduling.
-        const Matrix parallel_out = mha.forward(pool, q, k, v);
-        const Matrix sequential_out = mha.forwardSequential(q, k, v);
+        // Pooled vs inline on one worker: the per-head programs are
+        // identical, so the packed outputs are bitwise equal regardless
+        // of scheduling.
+        const Matrix parallel_out = mhaForward(mha, pool, q, k, v);
+        const Matrix sequential_out = mhaForward(mha, inline1, q, k, v);
         T_CHECK(parallel_out == sequential_out);
 
         // And against a hand-rolled loop over the legacy forward().
@@ -301,14 +334,14 @@ testMultiHeadDeterministicAcrossPoolSizes()
     const Matrix v = Matrix::randn(n, dm, rng);
 
     AttentionKernelPtr kernel = makeAttention(AttentionType::Taylor);
-    ThreadPool one(1), many(8);
+    ThreadPool single(1), many(8);
     MultiHeadAttention mha_one(kernel, heads), mha_many(kernel, heads);
-    const Matrix a = mha_one.forward(one, q, k, v);
-    const Matrix b = mha_many.forward(many, q, k, v);
+    const Matrix a = mhaForward(mha_one, single, q, k, v);
+    const Matrix b = mhaForward(mha_many, many, q, k, v);
     T_CHECK(a == b);
 
     // Repeated calls on the same instance recycle and stay identical.
-    const Matrix c = mha_many.forward(many, q, k, v);
+    const Matrix c = mhaForward(mha_many, many, q, k, v);
     T_CHECK(b == c);
 }
 
@@ -320,24 +353,21 @@ testMultiHeadShapeValidation()
     MultiHeadAttention mha(kernel, 3);
     Rng rng(0x99c3);
     const Matrix bad = Matrix::randn(8, 16, rng); // 16 % 3 != 0
-    T_CHECK_THROWS(mha.forward(pool, bad, bad, bad),
+    T_CHECK_THROWS(mhaForward(mha, pool, bad, bad, bad),
                    std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(kernel, 0), std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(nullptr, 2), std::invalid_argument);
 
     // Degenerate packed inputs are rejected loudly instead of silently
-    // producing empty output: zero tokens and zero width (d_h = 0 —
-    // 0 % heads == 0, so the divisibility check alone would pass it).
-    const Matrix no_tokens(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, no_tokens, no_tokens, no_tokens),
+    // producing empty output: an empty batch, and K/V rows that
+    // disagree for an image. (A zero-row image or zero-width batch
+    // cannot be built: RaggedBatch refuses both.)
+    const RaggedBatch empty;
+    T_CHECK_THROWS(mha.forwardRagged(pool, empty, empty, empty),
                    std::invalid_argument);
-    const Matrix no_width(8, 0);
-    T_CHECK_THROWS(mha.forward(pool, no_width, no_width, no_width),
-                   std::invalid_argument);
-    // Empty keys with non-empty queries likewise.
-    const Matrix good_q = Matrix::randn(8, 12, rng);
-    const Matrix no_kv(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, good_q, no_kv, no_kv),
+    const RaggedBatch q = randomImages(2, 8, 12, rng);
+    const RaggedBatch shortV = randomImages(2, 7, 12, rng);
+    T_CHECK_THROWS(mha.forwardRagged(pool, q, q, shortV),
                    std::invalid_argument);
 }
 
@@ -346,32 +376,33 @@ testMultiHeadBatchMatchesPerImage()
 {
     const size_t n = 23, heads = 3, dh = 8, dm = heads * dh, images = 4;
     Rng rng(0x99d4);
-    const Batch qb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch kb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch vb = Batch::randn(images, n, dm, rng);
+    const RaggedBatch qb = randomImages(images, n, dm, rng, 0.5f);
+    const RaggedBatch kb = randomImages(images, n, dm, rng, 0.5f);
+    const RaggedBatch vb = randomImages(images, n, dm, rng);
 
-    ThreadPool pool(4);
+    ThreadPool pool(4), inline1(1);
     for (AttentionType type :
          {AttentionType::Softmax, AttentionType::Taylor,
           AttentionType::Unified}) {
         MultiHeadAttention mha(makeAttention(type), heads);
 
         // Batched output is bitwise-identical to B per-image forwards.
-        const Batch out = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out.size() == images && out.rows() == n &&
-                out.cols() == dm);
+        const RaggedBatch out = mha.forwardRagged(pool, qb, kb, vb);
+        T_CHECK(out.offsets() == qb.offsets() && out.cols() == dm);
+        Matrix qi, ki, vi, got;
         for (size_t b = 0; b < images; ++b) {
-            const Matrix ref = mha.forward(pool, qb[b], kb[b], vb[b]);
-            T_CHECK(out[b] == ref);
+            qb.unpackImage(b, qi);
+            kb.unpackImage(b, ki);
+            vb.unpackImage(b, vi);
+            out.unpackImage(b, got);
+            T_CHECK(got == mhaForward(mha, pool, qi, ki, vi));
         }
 
-        // And to the sequential batch reference.
-        const Batch seq = mha.forwardBatchSequential(qb, kb, vb);
-        T_CHECK(out == seq);
+        // And to the inline run on one worker.
+        T_CHECK(out == mha.forwardRagged(inline1, qb, kb, vb));
 
         // Recycled rerun stays identical.
-        const Batch out2 = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out == out2);
+        T_CHECK(out == mha.forwardRagged(pool, qb, kb, vb));
     }
 }
 
@@ -381,19 +412,15 @@ testMultiHeadBatchShapeValidation()
     ThreadPool pool(2);
     MultiHeadAttention mha(makeAttention(AttentionType::Taylor), 2);
     Rng rng(0x99e5);
-    const Batch q = Batch::randn(3, 9, 8, rng);
-    const Batch k = Batch::randn(2, 9, 8, rng); // batch size mismatch
-    T_CHECK_THROWS(mha.forwardBatch(pool, q, k, k),
-                   std::invalid_argument);
-    const Batch empty;
-    T_CHECK_THROWS(mha.forwardBatch(pool, empty, empty, empty),
+    const RaggedBatch q = randomImages(3, 9, 8, rng);
+    const RaggedBatch k = randomImages(2, 9, 8, rng); // size mismatch
+    T_CHECK_THROWS(mha.forwardRagged(pool, q, k, k),
                    std::invalid_argument);
 
-    // An image reshaped behind the Batch's back is caught on entry.
-    Batch broken = Batch::randn(3, 9, 8, rng);
-    broken[1].resize(7, 8);
-    const Batch v = Batch::randn(3, 9, 8, rng);
-    T_CHECK_THROWS(mha.forwardBatch(pool, broken, v, v),
+    // A buffer reshaped behind the offsets is caught on entry.
+    RaggedBatch broken = randomImages(3, 9, 8, rng);
+    broken.buffer().resize(20, 8);
+    T_CHECK_THROWS(mha.forwardRagged(pool, broken, q, q),
                    std::invalid_argument);
 }
 
@@ -454,30 +481,31 @@ testMultiHeadRejectsConcurrentCalls()
     auto kernel = std::make_shared<BlockingKernel>();
     MultiHeadAttention mha(kernel, 1);
     ThreadPool pool(2);
+    ThreadPool inline1(1);
     Rng rng(0x99f6);
-    const Matrix q = Matrix::randn(4, 8, rng);
+    const RaggedBatch q = randomImages(1, 4, 8, rng);
 
     // First call parks inside the kernel on a pool worker...
     std::thread first([&] {
-        Matrix out;
-        mha.forwardInto(pool, q, q, q, out);
+        RaggedBatch out;
+        mha.forwardRaggedInto(pool, q, q, q, out);
     });
     kernel->waitEntered();
 
     // ...so a second call on the same instance must be refused rather
-    // than silently sharing the per-worker contexts.
-    Matrix out2;
-    T_CHECK_THROWS(mha.forwardInto(pool, q, q, q, out2),
+    // than silently sharing the per-worker contexts, on any pool.
+    RaggedBatch out2;
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, q, q, q, out2),
                    std::logic_error);
-    T_CHECK_THROWS(mha.forwardSequentialInto(q, q, q, out2),
+    T_CHECK_THROWS(mha.forwardRaggedInto(inline1, q, q, q, out2),
                    std::logic_error);
 
     kernel->release();
     first.join();
 
     // Once the first call drains, the instance is usable again.
-    Matrix out3;
-    mha.forwardInto(pool, q, q, q, out3);
+    RaggedBatch out3;
+    mha.forwardRaggedInto(pool, q, q, q, out3);
     T_CHECK(out3 == q);
 }
 

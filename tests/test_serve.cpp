@@ -115,22 +115,22 @@ testPackUnpack()
 {
     Rng rng(7);
     std::vector<Matrix> imgs;
-    for (int i = 0; i < 3; ++i)
-        imgs.push_back(Matrix::randn(4, 5, rng));
+    for (size_t rows : {4, 1, 7})
+        imgs.push_back(Matrix::randn(rows, 5, rng));
     std::vector<const Matrix *> ptrs;
     for (const Matrix &m : imgs)
         ptrs.push_back(&m);
 
-    Batch packed;
+    RaggedBatch packed;
     packRequests(packed, ptrs.data(), ptrs.size());
-    T_CHECK(packed.size() == 3 && packed.rows() == 4 &&
+    T_CHECK(packed.size() == 3 && packed.totalRows() == 12 &&
             packed.cols() == 5);
-    for (size_t i = 0; i < 3; ++i)
-        T_CHECK(packed[i] == imgs[i]);
 
     Matrix out;
-    unpackImage(packed, 2, out);
-    T_CHECK(out == imgs[2]);
+    for (size_t i = 0; i < 3; ++i) {
+        unpackImage(packed, i, out);
+        T_CHECK(out == imgs[i]);
+    }
     T_CHECK_THROWS(unpackImage(packed, 3, out), std::out_of_range);
 
     T_CHECK_THROWS(packRequests(packed, ptrs.data(), 0),
