@@ -87,42 +87,35 @@ EncoderPlan::compile(const VitEncoder &encoder, const PlanOptions &opts)
     plan->workspaceFloats_ = plan->maxBatch_ * plan->maxTokens_ *
                              (6 * cfg.dModel + cfg.mlpHidden);
 
-    // Prepack every dense-stage weight. The packs borrow the encoder's
-    // weight matrices — the encoder owns the plan, so the borrow cannot
-    // dangle.
+    // Prepack every dense-stage weight in the plan's one precision. The
+    // fp32 packs borrow the encoder's weight matrices (the encoder owns
+    // the plan, so the borrow cannot dangle); the int8 packs borrow the
+    // quantized copies the plan owns, sized here once.
+    plan->int8_ = opts.packInt8
+                      ? *opts.packInt8
+                      : Gemm::quantMode() == Gemm::QuantMode::Int8;
     plan->packs_.resize(cfg.layers);
+    if (plan->int8_)
+        plan->quantized_.resize(cfg.layers);
     for (size_t l = 0; l < cfg.layers; ++l) {
         const VitEncoder::LayerWeights &w = encoder.layer(l);
         LayerPack &p = plan->packs_[l];
-        p.wq.packFp32(w.wq);
-        p.wk.packFp32(w.wk);
-        p.wv.packFp32(w.wv);
-        p.wo.packFp32(w.wo);
-        p.w1.packFp32(w.w1);
-        p.w2.packFp32(w.w2);
-    }
-    if (opts.packInt8)
-        plan->addInt8(encoder);
-
-    return plan;
-}
-
-void
-EncoderPlan::addInt8(const VitEncoder &encoder)
-{
-    if (int8_)
-        return;
-    quantized_.resize(packs_.size());
-    for (size_t l = 0; l < packs_.size(); ++l) {
-        const VitEncoder::LayerWeights &w = encoder.layer(l);
-        QuantizedLayer &q = quantized_[l];
+        if (!plan->int8_) {
+            p.wq.packFp32(w.wq);
+            p.wk.packFp32(w.wk);
+            p.wv.packFp32(w.wv);
+            p.wo.packFp32(w.wo);
+            p.w1.packFp32(w.w1);
+            p.w2.packFp32(w.w2);
+            continue;
+        }
+        QuantizedLayer &q = plan->quantized_[l];
         q.wq.assignWeights(w.wq);
         q.wk.assignWeights(w.wk);
         q.wv.assignWeights(w.wv);
         q.wo.assignWeights(w.wo);
         q.w1.assignWeights(w.w1);
         q.w2.assignWeights(w.w2);
-        LayerPack &p = packs_[l];
         p.wq.packInt8(q.wq);
         p.wk.packInt8(q.wk);
         p.wv.packInt8(q.wv);
@@ -130,7 +123,8 @@ EncoderPlan::addInt8(const VitEncoder &encoder)
         p.w1.packInt8(q.w1);
         p.w2.packInt8(q.w2);
     }
-    int8_ = true;
+
+    return plan;
 }
 
 size_t

@@ -13,9 +13,9 @@
  *    the pack loop entirely — and the scalar backend runs its
  *    unpack-free reference path, so the prepacked multiply is
  *    bitwise-identical to the per-call one on every backend;
- *  - int8 copies of those weights are quantized and packed when
- *    requested (PlanOptions::packInt8), or by the first int8 forward
- *    through the plan (addInt8); the plan owns the copies;
+ *  - the precision is frozen per plan (PlanOptions::packInt8): an
+ *    int8 plan quantizes the weights into copies it owns and packs
+ *    only their int8 panels, an fp32 plan packs only fp32 panels;
  *  - the per-(maxBatch, maxTokens) workspace footprint is computed so
  *    the encoder pre-grows its activation buffers at compile time and
  *    steady-state forwards acquire without allocating;
@@ -24,10 +24,13 @@
  *    attention/zoo.h ("taylor:0-7,softmax:8-11") with precedence
  *    PlanOptions > VitConfig::layerKernels > the VITALITY_LAYERS knob.
  *
- * The fp32 panels borrow the encoder's weight storage (PackedMatrix
- * borrows its source), so a plan must not outlive the encoder that
- * compiled it — VitEncoder owns its plan (VitEncoder::compilePlan),
- * which makes the lifetime structural.
+ * Everything a forward needs beyond the process-wide GEMM knobs is
+ * frozen at compile, so encoders with different plans run side by
+ * side without touching global state. The fp32 panels borrow the
+ * encoder's weight storage (PackedMatrix borrows its source), so a
+ * plan must not outlive the encoder that compiled it — VitEncoder owns
+ * its plan (VitEncoder::compilePlan), which makes the lifetime
+ * structural.
  */
 
 #ifndef VITALITY_MODEL_ENCODER_PLAN_H
@@ -73,8 +76,14 @@ struct PlanOptions
     /** Largest batch size to provision workspace for. */
     size_t maxBatch = 1;
 
-    /** Also quantize + pack the int8 weights at compile time. */
-    bool packInt8 = false;
+    /**
+     * Precision frozen into the plan: true runs the dense stages int8
+     * (only int8 panels are packed), false fp32 (only fp32 panels).
+     * Disengaged reads the global VITALITY_QUANT knob at compile time,
+     * like tokenKeep; later knob changes reach the plan only through a
+     * recompile.
+     */
+    std::optional<bool> packInt8;
 };
 
 /** A compiled execution plan for one VitEncoder. */
@@ -108,15 +117,6 @@ class EncoderPlan
     EncoderPlan(const EncoderPlan &) = delete;
     EncoderPlan &operator=(const EncoderPlan &) = delete;
 
-    /**
-     * Quantize the encoder's dense-stage weights (symmetric
-     * per-tensor, tensor/quantized_matrix.h) into copies this plan
-     * owns, and pack them next to the fp32 panels. A no-op once
-     * hasInt8(). Mutates the plan: call it where a forward would be
-     * legal (VitEncoder does, under its in-flight guard).
-     */
-    void addInt8(const VitEncoder &encoder);
-
     size_t layers() const { return specs_.size(); }
     const LayerSpec &spec(size_t l) const { return specs_[l]; }
     const LayerPack &pack(size_t l) const { return packs_[l]; }
@@ -124,7 +124,7 @@ class EncoderPlan
     /** True when every layer runs the encoder's own kernel. */
     bool uniform() const { return uniform_; }
 
-    /** True once the int8 weights are packed (packInt8 or addInt8). */
+    /** True when the dense stages run int8 (only int8 panels held). */
     bool hasInt8() const { return int8_; }
 
     size_t maxTokens() const { return maxTokens_; }
@@ -154,7 +154,7 @@ class EncoderPlan
 
     std::vector<LayerSpec> specs_;
     std::vector<LayerPack> packs_;
-    /** Sized once by addInt8 and never again, so the borrows hold. */
+    /** Sized once by compile and never again, so the borrows hold. */
     std::vector<QuantizedLayer> quantized_;
     bool uniform_ = true;
     bool int8_ = false;

@@ -23,11 +23,10 @@ const char *const kConcurrentCall =
 // bias adds, the GELU, and the residual adds happen in the GEMM
 // write-back instead of as extra full passes over the activations — and
 // fused epilogues are bitwise-identical to the unfused op sequence. The
-// weights are the plan's prepacked panels; in int8 mode
-// (VITALITY_QUANT=int8) the fp32 activation is quantized per row into a
-// thread-local scratch and multiplied against the int8 panels with the
-// very same epilogue descriptor, so bias/GELU/residual semantics are
-// unchanged.
+// weights are the plan's prepacked panels; under an int8 plan the fp32
+// activation is quantized per row into a thread-local scratch and
+// multiplied against the int8 panels with the very same epilogue
+// descriptor, so bias/GELU/residual semantics are unchanged.
 
 // Per-worker activation-quantization scratch. Each dense stage
 // re-quantizes into it, so at most one lives per pool worker.
@@ -153,15 +152,11 @@ VitEncoder::installPlan(const PlanOptions &opts)
     planMha_ = std::move(mhas);
 }
 
-bool
+void
 VitEncoder::preparePlan()
 {
     if (!plan_)
         installPlan(PlanOptions{});
-    const bool int8 = Gemm::quantMode() == Gemm::QuantMode::Int8;
-    if (int8)
-        plan_->addInt8(*this);
-    return int8;
 }
 
 MultiHeadAttention &
@@ -179,10 +174,10 @@ VitEncoder::forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out)
             strfmt("VitEncoder: input %s, expected [%zu x %zu]",
                    x.shapeStr().c_str(), cfg_.tokens, cfg_.dModel));
     }
-    const bool int8 = preparePlan();
+    preparePlan();
     const Matrix *image = &x;
     rx_.packFrom(&image, 1);
-    runLayers(pool, int8);
+    runLayers(pool);
     rx_.unpackImage(0, out);
 }
 
@@ -207,9 +202,9 @@ VitEncoder::forwardRaggedInto(const RaggedBatch &x, ThreadPool &pool,
                    x.shapeStr().c_str(), cfg_.dModel));
     }
     VITALITY_CHECK(&out != &x, "VitEncoder: ragged out aliases the input");
-    const bool int8 = preparePlan();
+    preparePlan();
     rx_.copyFrom(x);
-    runLayers(pool, int8);
+    runLayers(pool);
     out.copyFrom(rx_);
 }
 
@@ -222,7 +217,7 @@ VitEncoder::forwardRagged(const RaggedBatch &x, ThreadPool &pool)
 }
 
 void
-VitEncoder::runLayers(ThreadPool &pool, bool int8)
+VitEncoder::runLayers(ThreadPool &pool)
 {
     VITALITY_DCHECK(
         check::allFinite(rx_.buffer().data(), rx_.totalRows() * rx_.cols()),
@@ -230,6 +225,7 @@ VitEncoder::runLayers(ThreadPool &pool, bool int8)
 
     const size_t d = cfg_.dModel;
     const size_t h = cfg_.mlpHidden;
+    const bool int8 = plan_->hasInt8();
 
     for (size_t l = 0; l < layers_.size(); ++l) {
         const LayerWeights &w = layers_[l];

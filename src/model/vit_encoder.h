@@ -86,23 +86,21 @@ class VitEncoder
     /**
      * Compile and attach an execution plan (model/encoder_plan.h):
      * prepacks every dense-stage weight into the microkernel panel
-     * layout, freezes the per-layer kernel/keep schedule (the
-     * VITALITY_TOKENS and VITALITY_LAYERS knobs are read here, not per
-     * call), pre-grows the activation buffers to the plan's
-     * (maxBatch, maxTokens) high-water mark, and — for heterogeneous
-     * schedules — builds one MultiHeadAttention per layer. Replaces
-     * any previous plan. Throws std::invalid_argument on malformed
-     * options and keeps the previous plan.
+     * layout, freezes the precision and the per-layer kernel/keep
+     * schedule (the VITALITY_QUANT, VITALITY_TOKENS and VITALITY_LAYERS
+     * knobs are read here, not per call), pre-grows the activation
+     * buffers to the plan's (maxBatch, maxTokens) high-water mark,
+     * and — for heterogeneous schedules — builds one
+     * MultiHeadAttention per layer. Replaces any previous plan. Throws
+     * std::invalid_argument on malformed options and keeps the
+     * previous plan.
      */
     void compilePlan(const PlanOptions &opts);
 
     /** compilePlan with default options (uniform schedule, batch 1). */
     void compilePlan();
 
-    /**
-     * The attached plan: nullptr until compilePlan or the first
-     * forward. The first int8 forward adds int8 panels to it.
-     */
+    /** The attached plan: nullptr until compilePlan or the first forward. */
     const EncoderPlan *plan() const { return plan_.get(); }
 
     /**
@@ -172,15 +170,15 @@ class VitEncoder
     void installPlan(const PlanOptions &opts);
 
     /**
-     * Compile the default plan if none is attached and add int8 panels
-     * under the int8 quant mode; returns whether this forward runs
-     * int8. Runs before the input is staged into rx_, which a compile
-     * pre-grows (contents unspecified).
+     * Compile the default plan if none is attached. Runs before the
+     * input is staged into rx_, which a compile pre-grows (contents
+     * unspecified).
      */
-    bool preparePlan();
+    void preparePlan();
 
-    /** The layer loop over the staged input in rx_. */
-    void runLayers(ThreadPool &pool, bool int8);
+    /** The layer loop over the staged input in rx_, in the plan's
+     * precision. */
+    void runLayers(ThreadPool &pool);
 
     /** Layer l's attention dispatch: the per-layer instance when the
      * plan's schedule is heterogeneous, the shared mha_ otherwise. */

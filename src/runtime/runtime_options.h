@@ -25,17 +25,18 @@
  * one: options the caller leaves unset behave bitwise-identically to
  * the pre-RuntimeOptions library.
  *
- * The struct is plain data, so a ModelServer config (or any embedding
- * application) can carry a full execution mode per model and install
- * it at a well-defined point — globally via apply(), or temporarily
- * via the RAII Scoped guard, which ModelServer wraps around each batch
- * dispatch. The knobs themselves remain process-global (the GEMM
- * dispatch and the sparse execution path read global atomics), which
- * is why Scoped exists instead of a per-call parameter: the guard is
- * the narrow window in which "this model's options" are the process
- * state. Like the setters it wraps, apply()/Scoped are not
- * synchronized with in-flight multiplies — callers serialize
- * (ModelServer holds its dispatch gate across the guard).
+ * The struct is plain data with two uses. A ModelServer config carries
+ * one per model, but only the fields an encoder's compiled plan freezes
+ * (quantMode, tokenKeep, layerKernels) may be engaged there: the plan
+ * reads them once at registration and serving never installs anything
+ * into the process state. The other four fields (gemmBackend, threads,
+ * epilogueMode, sparseMode) stay process-global — the GEMM dispatch and
+ * the sparse execution path read global atomics on every call — and a
+ * caller installs them with apply() at a setup point, or temporarily
+ * with the RAII Scoped guard (a caller utility for tests and benches,
+ * e.g. one scalar-backend reference forward). Like the setters they
+ * wrap, apply()/Scoped are not synchronized with in-flight multiplies:
+ * the caller makes sure no forward runs across the change.
  */
 
 #ifndef VITALITY_RUNTIME_RUNTIME_OPTIONS_H
@@ -110,7 +111,10 @@ struct RuntimeOptions
     /** Sparse-branch execution path (VITALITY_SPARSE; default csr). */
     std::optional<SparseExec> sparseMode;
 
-    /** Dense-stage quantization (VITALITY_QUANT; default off). */
+    /**
+     * Dense-stage quantization (VITALITY_QUANT; default off). Read when
+     * an encoder's plan compiles, like tokenKeep and layerKernels.
+     */
     std::optional<Gemm::QuantMode> quantMode;
 
     /** Token keep-ratio in (0, 1] (VITALITY_TOKENS; default 1.0). */
@@ -172,8 +176,9 @@ struct RuntimeOptions
  * RAII guard: captures current(), applies opts, restores the capture
  * on destruction. The restore re-installs every knob (current() is
  * fully engaged), so nested guards unwind correctly. Callers must
- * serialize guards against concurrent multiplies — this is
- * ModelServer's dispatch-gate contract.
+ * serialize guards against concurrent multiplies. A plan-frozen field
+ * (quantMode, tokenKeep, layerKernels) reaches an encoder only if its
+ * plan compiles inside the guard.
  */
 class RuntimeOptions::Scoped
 {

@@ -37,17 +37,11 @@ BatchPolicy::validate() const
 }
 
 DynamicBatcher::DynamicBatcher(VitEncoder &encoder, ThreadPool &pool,
-                               BatchPolicy policy, RuntimeOptions options,
-                               std::mutex *dispatchGate)
+                               BatchPolicy policy)
     : encoder_(encoder), pool_(pool), policy_(policy),
-      options_(std::move(options)), dispatchGate_(dispatchGate),
       reservoir_(512, 0x5eedULL ^ encoder.config().dModel)
 {
     policy_.validate();
-    if (!options_.empty() && !dispatchGate_)
-        throw std::invalid_argument(
-            "DynamicBatcher: pinned RuntimeOptions need a dispatch "
-            "gate (the knobs are process-global; see runtime_options.h)");
     dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
@@ -161,20 +155,7 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
         // Ragged pack: requests keep their own token counts. A uniform
         // batch is just the special case where every count matches.
         packRequests(packed_, inputPtrs_.data(), inputPtrs_.size());
-        {
-            // Pinned options install under the process-wide gate; the
-            // guard's destructor restores the prior mode before the
-            // gate releases. No options + no gate = no locking.
-            std::unique_lock<std::mutex> gate;
-            if (dispatchGate_)
-                gate = std::unique_lock<std::mutex>(*dispatchGate_);
-            if (!options_.empty()) {
-                RuntimeOptions::Scoped scoped(options_);
-                encoder_.forwardRaggedInto(packed_, pool_, encoded_);
-            } else {
-                encoder_.forwardRaggedInto(packed_, pool_, encoded_);
-            }
-        }
+        encoder_.forwardRaggedInto(packed_, pool_, encoded_);
         const auto done = std::chrono::steady_clock::now();
         const double computeMs = msBetween(dispatchStart, done);
 

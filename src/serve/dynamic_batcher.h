@@ -40,11 +40,11 @@
  * joins, so no accepted request is ever dropped. The destructor calls
  * shutdown().
  *
- * An optional RuntimeOptions set pins the execution mode per dispatch:
- * the dispatcher wraps each forward in RuntimeOptions::Scoped under
- * the owner-provided dispatch gate (a process-wide mutex, because the
- * knobs are process-global — see runtime_options.h). With no options
- * and no gate the batcher adds no locking around the forward.
+ * The batcher takes no lock around the forward and touches no global
+ * state: everything that differs between models (precision, kernel
+ * schedule, keep ratio) is frozen into the encoder's compiled plan, so
+ * batchers over different encoders may dispatch at the same time on
+ * one shared pool.
  */
 
 #ifndef VITALITY_SERVE_DYNAMIC_BATCHER_H
@@ -61,7 +61,6 @@
 #include <vector>
 
 #include "model/vit_encoder.h"
-#include "runtime/runtime_options.h"
 #include "runtime/thread_pool.h"
 #include "serve/inference.h"
 #include "serve/latency_reservoir.h"
@@ -118,20 +117,12 @@ class DynamicBatcher
      * @param encoder Model every batch runs through. Not owned; must
      * outlive the batcher. The batcher is the encoder's only caller
      * (VitEncoder forwards are same-instance exclusive).
-     * @param pool Pool the batched forward fans out across. Not owned.
+     * @param pool Pool the batched forward fans out across. Not owned;
+     * may be shared with other batchers.
      * @param policy Validated batching policy.
-     * @param options Execution mode pinned around every dispatch;
-     * empty = run under whatever the process state is.
-     * @param dispatchGate Mutex held across every dispatch (with the
-     * Scoped options install). Required when options is non-empty —
-     * process-global knobs need process-wide serialization; ModelServer
-     * shares one gate across its batchers. May be nullptr when options
-     * is empty.
      */
     DynamicBatcher(VitEncoder &encoder, ThreadPool &pool,
-                   BatchPolicy policy,
-                   RuntimeOptions options = RuntimeOptions{},
-                   std::mutex *dispatchGate = nullptr);
+                   BatchPolicy policy);
 
     /** Calls shutdown(). */
     ~DynamicBatcher();
@@ -160,7 +151,6 @@ class DynamicBatcher
     BatcherStats stats() const;
 
     const BatchPolicy &policy() const { return policy_; }
-    const RuntimeOptions &options() const { return options_; }
 
   private:
     struct Pending
@@ -177,8 +167,6 @@ class DynamicBatcher
     VitEncoder &encoder_;
     ThreadPool &pool_;
     const BatchPolicy policy_;
-    const RuntimeOptions options_;
-    std::mutex *const dispatchGate_;
 
     mutable std::mutex mutex_; ///< Guards queue_, stopping_, nextId_.
     std::condition_variable cv_;

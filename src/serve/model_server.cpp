@@ -32,15 +32,15 @@ ModelServer::addModel(const ModelConfig &config)
             strfmt("addModel: kernel '%s' takes no sparsity threshold",
                    kernelName(config.kernel).c_str()));
     }
-    // Fail registration, not the first dispatch: a pinned backend that
-    // this host cannot run is a config error, and apply() inside the
-    // dispatcher would otherwise poison every future in every batch.
-    if (config.options.gemmBackend &&
-        !Gemm::available(*config.options.gemmBackend)) {
+    // Only the fields a plan freezes are per model. The GEMM backend,
+    // thread cap, epilogue and sparse path are process-wide knobs that
+    // every model shares; pinning one per model is a config error.
+    const RuntimeOptions &o = config.options;
+    if (o.gemmBackend || o.threads || o.epilogueMode || o.sparseMode) {
         throw std::invalid_argument(
-            strfmt("addModel: pinned gemm backend %s is not available "
-                   "on this host",
-                   Gemm::backendName(*config.options.gemmBackend)));
+            "addModel: gemmBackend, threads, epilogueMode and sparseMode "
+            "are process-wide; set them with RuntimeOptions::apply "
+            "before serving");
     }
 
     const std::string key = modelKey(config);
@@ -61,26 +61,22 @@ ModelServer::addModel(const ModelConfig &config)
         config.preset, std::move(kernel), config.seed);
     // Compile the execution plan at registration, so serving never
     // packs a weight panel (or quantizes a weight) after startup: the
-    // per-model schedule/keep pins are frozen here, the workspace is
-    // pre-grown to the policy's maxBatch, and the int8 panels are
-    // packed up front when this model pins (or the process defaults
-    // to) int8 execution. A malformed model-pinned schedule
-    // fails registration, not the first dispatch; an ambient
+    // per-model precision/schedule/keep pins are frozen here (unpinned
+    // fields read the process knobs once, now) and the workspace is
+    // pre-grown to the policy's maxBatch. A malformed model-pinned
+    // schedule fails registration, not the first dispatch; an ambient
     // VITALITY_LAYERS schedule too deep for this model is ignored with
     // a warning (the model runs uniform) so one global knob cannot
     // veto shallower models in the same process.
     PlanOptions planOpts;
-    planOpts.layerKernels = config.options.layerKernels;
-    planOpts.tokenKeep = config.options.tokenKeep;
+    planOpts.layerKernels = o.layerKernels;
+    planOpts.tokenKeep = o.tokenKeep;
     planOpts.maxBatch = config.policy.maxBatch;
-    planOpts.packInt8 = (config.options.quantMode
-                             ? *config.options.quantMode
-                             : Gemm::quantMode()) ==
-                        Gemm::QuantMode::Int8;
+    if (o.quantMode)
+        planOpts.packInt8 = *o.quantMode == Gemm::QuantMode::Int8;
     entry.encoder->compilePlan(planOpts);
-    entry.batcher = std::make_unique<DynamicBatcher>(
-        *entry.encoder, pool_, config.policy, config.options,
-        &dispatchGate_);
+    entry.batcher = std::make_unique<DynamicBatcher>(*entry.encoder, pool_,
+                                                     config.policy);
     registry_.emplace(key, std::move(entry));
     return key;
 }

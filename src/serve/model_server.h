@@ -12,14 +12,17 @@
  * checkable), submit() routes a request to its model's batcher, and
  * stats() exposes each batcher's counters and latency percentiles.
  *
- * Every batcher shares the server's one ThreadPool (a batched forward
- * already fans across the whole pool, so concurrent dispatches would
- * time-slice workers, not add cores) and the server's one dispatch
- * gate: per-model RuntimeOptions pin process-global knobs, so one
- * model's pinned mode must never overlap another model's forward.
- * The server hands the gate to every batcher, serializing batch
- * dispatches across its models — the documented cost of per-model
- * execution modes until the knobs become per-call parameters.
+ * Each model's execution mode is frozen into its encoder's compiled
+ * plan at addModel: precision (quantMode), kernel schedule
+ * (layerKernels) and token keep ratio (tokenKeep). Nothing per model
+ * is read from process state at dispatch, so models dispatch
+ * concurrently on the server's one shared ThreadPool — an int8 model
+ * and an fp32 model run at the same time. This is safe because
+ * ThreadPool::parallelFor may be called from several non-worker
+ * threads, each encoder owns its attention contexts and activations,
+ * and GEMM and quantization scratch are thread-local. The remaining
+ * knobs (GEMM backend, thread cap, epilogue, sparse path) are
+ * process-wide: set them with RuntimeOptions::apply before serving.
  *
  * shutdown() stops accepting (addModel and submit throw
  * ServeError{Stopping}), then drains every batcher — all accepted
@@ -66,9 +69,11 @@ struct ModelConfig
     BatchPolicy policy;
 
     /**
-     * Execution mode pinned around this model's dispatches; empty =
-     * run under the ambient process state. See the file comment for
-     * the serialization cost of pinning.
+     * Per-model execution mode, frozen into the plan at addModel:
+     * quantMode, tokenKeep and layerKernels; a disengaged field reads
+     * the process knob once, at registration. The process-wide fields
+     * (gemmBackend, threads, epilogueMode, sparseMode) must stay
+     * disengaged — addModel rejects them.
      */
     RuntimeOptions options;
 
@@ -94,9 +99,9 @@ class ModelServer
 
     /**
      * Register a model; returns its key ("preset/kernel"). Validates
-     * the preset, policy, threshold applicability, and that any pinned
-     * gemmBackend is available here. Throws std::invalid_argument on
-     * a duplicate key or invalid config, ServeError{Stopping} after
+     * the preset, policy, threshold applicability, and that options
+     * pins only per-model fields. Throws std::invalid_argument on a
+     * duplicate key or invalid config, ServeError{Stopping} after
      * shutdown.
      */
     std::string addModel(const ModelConfig &config);
@@ -144,14 +149,6 @@ class ModelServer
     mutable std::mutex registryMutex_;
     std::map<std::string, Entry> registry_;
     bool stopping_ = false;
-
-    /**
-     * The dispatch gate every batcher locks around its forward
-     * (runtime_options.h). One per server: two servers in one process
-     * would still race each other's pinned knobs, which is why a
-     * process normally runs one ModelServer.
-     */
-    std::mutex dispatchGate_;
 };
 
 } // namespace vitality

@@ -99,7 +99,7 @@ checkedDims(const MatA &a, const MatB &b, Gemm::Trans trans)
 using detail::epilogueApplyRow;
 
 // Scratch arena for the scalar backend's staged epilogue rows and the
-// unfused fallback product. Thread-local, so banded scalar GEMMs and
+// k = 0 zero row. Thread-local, so banded scalar GEMMs and
 // concurrent callers stay allocation-free per worker.
 thread_local Workspace t_scalarArena;
 
@@ -240,6 +240,7 @@ runBackend(Gemm::Backend backend, Matrix &dst, const Matrix &a,
         detail::gemmAvx2(dst, a, b, trans, i0, i1, ep, packedB);
         return;
 #else
+        (void)packedB;
         throw std::invalid_argument(
             "gemm: AVX2 backend not compiled in "
             "(build with -DVITALITY_ENABLE_AVX2=ON)");
@@ -287,7 +288,7 @@ resolveDefault()
 std::atomic<int> g_active{-1};
 
 // -1 = unresolved; otherwise a Gemm::EpilogueMode value
-// (VITALITY_EPILOGUE=fused|unfused, default fused).
+// (VITALITY_EPILOGUE=fused|fast, default fused).
 std::atomic<int> g_epilogueMode{-1};
 
 // -2 = unresolved; otherwise the VITALITY_THREADS cap (0 = uncapped).
@@ -389,6 +390,7 @@ runBackendInt8(Gemm::Backend backend, Matrix &dst,
         detail::gemmInt8Avx2(dst, a, b, trans, i0, i1, wsum, ep, packedB);
         return;
 #else
+        (void)packedB;
         throw std::invalid_argument(
             "gemm: AVX2 backend not compiled in "
             "(build with -DVITALITY_ENABLE_AVX2=ON)");
@@ -538,18 +540,6 @@ Gemm::multiplyImpl(Matrix &dst, const Matrix &a, const Matrix &b,
         return;
     }
 
-    if (!ep.trivial() && epilogueMode() == EpilogueMode::Unfused) {
-        // Debug/bench fallback: plain GEMM into scratch, then the same
-        // element-wise epilogue as a separate pass. Bitwise-identical
-        // to the fused path by construction (same order per element).
-        Workspace::Frame frame(t_scalarArena);
-        Matrix &product = t_scalarArena.acquire(dims.m, dims.n);
-        multiplyImpl(product, a, b, trans, Epilogue{}, backend, packedB);
-        for (size_t i = 0; i < dims.m; ++i)
-            epilogueApplyRow(dst.rowPtr(i), product.rowPtr(i), dims.n, ep);
-        return;
-    }
-
     // Cheap early-outs before touching the runner: a GEMM too small to
     // ever split into two worthwhile bands skips the global runner
     // mutex and shared_ptr traffic entirely (this is every per-head
@@ -691,19 +681,6 @@ Gemm::multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
         const Matrix &zeros = t_scalarArena.acquireZeroed(1, dims.n);
         for (size_t i = 0; i < dims.m; ++i)
             epilogueApplyRow(dst.rowPtr(i), zeros.rowPtr(0), dims.n, ep);
-        return;
-    }
-
-    if (!ep.trivial() && epilogueMode() == EpilogueMode::Unfused) {
-        // Same debug/bench fallback as the fp32 path: raw dequantized
-        // product into scratch, then the canonical epilogue pass.
-        // Bitwise-identical to the fused path by construction.
-        Workspace::Frame frame(t_scalarArena);
-        Matrix &product = t_scalarArena.acquire(dims.m, dims.n);
-        multiplyImplInt8(product, a, b, trans, Epilogue{}, backend,
-                         packedB, packedWsum);
-        for (size_t i = 0; i < dims.m; ++i)
-            epilogueApplyRow(dst.rowPtr(i), product.rowPtr(i), dims.n, ep);
         return;
     }
 
@@ -891,7 +868,7 @@ Gemm::epilogueMode()
                 resolved = static_cast<int>(*wanted);
             } else {
                 warn("VITALITY_EPILOGUE=%s not recognized (want "
-                     "fused|unfused|fast); using fused",
+                     "fused|fast); using fused",
                      env);
             }
         }
@@ -916,8 +893,6 @@ Gemm::epilogueModeName(EpilogueMode mode)
     switch (mode) {
     case EpilogueMode::Fused:
         return "fused";
-    case EpilogueMode::Unfused:
-        return "unfused";
     case EpilogueMode::FusedFast:
         return "fast";
     }
@@ -929,8 +904,6 @@ Gemm::parseEpilogueMode(const std::string &name)
 {
     if (name == "fused")
         return EpilogueMode::Fused;
-    if (name == "unfused")
-        return EpilogueMode::Unfused;
     if (name == "fast")
         return EpilogueMode::FusedFast;
     return std::nullopt;

@@ -45,13 +45,12 @@
  * backend — asserted by test_gemm for every epilogue combination on
  * both backends, and the basis on which VitEncoder's fused rewrite
  * kept all of its bitwise batch/sequential parity guarantees. The
- * VITALITY_EPILOGUE environment variable ("fused", the default,
- * "unfused", or "fast") or setEpilogueMode() force the unfused
- * fallback path — a bench/debug lever, not a numerics one, precisely
- * because those two modes agree bitwise — or the fast mode, which
- * additionally swaps the GELU's std::tanh for the vectorized
- * polynomial tanhApprox (tensor/ops.h; <= 4e-7 absolute error, the
- * one mode that is a numerics lever, and an opt-in one).
+ * unfused sequence is a test-side reference only; production always
+ * fuses. The VITALITY_EPILOGUE environment variable ("fused", the
+ * default, or "fast") or setEpilogueMode() select the fast mode, which
+ * swaps the GELU's std::tanh for the vectorized polynomial tanhApprox
+ * (tensor/ops.h; <= 4e-7 absolute error — a numerics lever, and an
+ * opt-in one).
  *
  * Numerical contract (the documented cross-backend tolerance): both
  * backends accumulate every output element as a single running sum over
@@ -116,13 +115,13 @@
  * row identities); violations throw std::invalid_argument.
  *
  * The VITALITY_QUANT environment variable ("off", the default, or
- * "int8") / setQuantMode() select the model-level execution mode:
- * VitEncoder routes its dense stages (QKV, attention output
- * projection, both MLP GEMMs) through this path when the mode is
- * Int8, quantizing activations per call (per-row) and caching
- * quantized weights. "off" leaves every fp32 path bitwise-untouched;
- * the quantized overloads themselves are callable regardless of the
- * knob.
+ * "int8") / setQuantMode() select the model-level precision an
+ * encoder's plan freezes when it compiles (model/encoder_plan.h): an
+ * int8 plan routes the dense stages (QKV, attention output
+ * projection, both MLP GEMMs) through this path, quantizing
+ * activations per call (per-row) against weights quantized at compile.
+ * "off" leaves every fp32 path bitwise-untouched; the quantized
+ * overloads themselves are callable regardless of the knob.
  *
  * Intra-GEMM parallelism
  * ----------------------
@@ -244,10 +243,9 @@ class Gemm
     };
 
     /**
-     * "fused" (default), "unfused", or "fast" — see VITALITY_EPILOGUE
-     * above. Fast is fused plus the vectorized polynomial tanh in the
-     * GELU: Act::Gelu epilogues are executed as Act::GeluFast. Unlike
-     * the fused/unfused pair (bitwise-identical), fast trades the
+     * "fused" (default) or "fast" — see VITALITY_EPILOGUE above. Fast
+     * is fused plus the vectorized polynomial tanh in the GELU:
+     * Act::Gelu epilogues are executed as Act::GeluFast, trading the
      * documented tanhApprox bound (<= 4e-7 absolute, tensor/ops.h)
      * for skipping a std::tanh per MLP-hidden element; the fast
      * path is still deterministic and bitwise-identical across
@@ -255,8 +253,7 @@ class Gemm
      */
     enum class EpilogueMode
     {
-        Fused,   ///< Post-ops applied in the backend's write-back.
-        Unfused, ///< Plain GEMM to scratch + separate epilogue pass.
+        Fused,     ///< Post-ops applied in the backend's write-back.
         FusedFast, ///< Fused, with Gelu executed as GeluFast.
     };
 
@@ -420,7 +417,7 @@ class Gemm
     /** Force the epilogue mode (test/bench hook). */
     static void setEpilogueMode(EpilogueMode mode);
 
-    /** "fused", "unfused", or "fast", for bench/trajectory reporting. */
+    /** "fused" or "fast", for bench/trajectory reporting. */
     static const char *epilogueModeName(EpilogueMode mode);
 
     /** Parse a VITALITY_EPILOGUE value; nullopt on unrecognized text. */

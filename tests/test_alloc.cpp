@@ -18,6 +18,7 @@
 
 #include "attention/zoo.h"
 #include "base/rng.h"
+#include "model/encoder_plan.h"
 #include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
 #include "tensor/gemm.h"
@@ -160,16 +161,14 @@ testEncoderForwardRaggedAllocationFree()
 }
 
 /**
- * The INT8 dense path is allocation-free once warm too: the first int8
- * forward adds the int8 panels to the plan, and the per-call
- * activation quantization writes into recycled thread-local scratch.
+ * The INT8 dense path is allocation-free once warm too: the plan
+ * compiled under the int8 knob quantizes and packs the weights, and
+ * the per-call activation quantization writes into recycled
+ * thread-local scratch.
  */
 void
 testEncoderInt8ForwardAllocationFree()
 {
-    const Gemm::QuantMode prev = Gemm::quantMode();
-    Gemm::setQuantMode(Gemm::QuantMode::Int8);
-
     const VitConfig cfg = allocConfig();
     Rng rng(0xa113);
     const Matrix x =
@@ -177,15 +176,19 @@ testEncoderInt8ForwardAllocationFree()
     ThreadPool pool(1);
 
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
+    const Gemm::QuantMode prev = Gemm::quantMode();
+    Gemm::setQuantMode(Gemm::QuantMode::Int8);
+    enc.compilePlan(); // freezes int8 into the plan
+    Gemm::setQuantMode(prev);
+    T_CHECK(enc.plan()->hasInt8());
+
     Matrix out;
-    enc.forwardInto(x, pool, out); // compiles the plan, packs int8
+    enc.forwardInto(x, pool, out);
     enc.forwardInto(x, pool, out);
 
     testing::AllocationProbe probe;
     enc.forwardInto(x, pool, out);
     T_CHECK(probe.allocations() == 0);
-
-    Gemm::setQuantMode(prev);
 }
 
 } // namespace

@@ -383,11 +383,11 @@ testFusedEpilogueParity()
         Gemm::Trans::None, Gemm::Trans::A, Gemm::Trans::B};
 
     Rng rng(0x6e66);
-    Matrix a, b, fused, ref, fusedViaMode;
+    Matrix a, b, fused, ref;
     // This test pins the exact-GELU fused/unfused contract, so it must
     // not run under the fast mode (which deliberately swaps the GELU);
     // pin Fused here and restore the run's mode (possibly the env
-    // override under test, e.g. VITALITY_EPILOGUE=unfused) at the end.
+    // override under test, e.g. VITALITY_EPILOGUE=fast) at the end.
     const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
     Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
     size_t combos = 0;
@@ -428,16 +428,6 @@ testFusedEpilogueParity()
                                         maxAbsDiff(fused, ref)));
                                 T_CHECK(fused == ref);
                             }
-                            // The unfused *mode* (the VITALITY_EPILOGUE
-                            // fallback) is bitwise-identical too.
-                            Gemm::setEpilogueMode(
-                                Gemm::EpilogueMode::Unfused);
-                            fusedViaMode.copyFrom(init);
-                            Gemm::multiply(fusedViaMode, a, b, trans,
-                                           ep, backend);
-                            Gemm::setEpilogueMode(
-                                Gemm::EpilogueMode::Fused);
-                            T_CHECK(fusedViaMode == fused);
                             ++combos;
                         }
                     }

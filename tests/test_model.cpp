@@ -280,14 +280,18 @@ testEncoderMatchesUnfusedReference()
 
     // The bitwise contract below is between the fused write-back and
     // the exact-GELU op sequence; the fast mode swaps the GELU and
-    // the int8 mode swaps the whole dense arithmetic by design, so
-    // pin both modes for the duration of this test.
+    // the int8 mode swaps the whole dense arithmetic by design. The
+    // epilogue mode is read per multiply, so it stays pinned for the
+    // test; the precision is frozen at plan compile, so the quant knob
+    // only needs to be off while the plan compiles.
     const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
     Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
     const Gemm::QuantMode quantBefore = Gemm::quantMode();
     Gemm::setQuantMode(Gemm::QuantMode::Off);
-
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0xabc);
+    encoder.compilePlan();
+    Gemm::setQuantMode(quantBefore);
+
     const Matrix y = encoder.forward(x, pool);
 
     const VitEncoder::LayerWeights &w = encoder.layer(0);
@@ -314,7 +318,6 @@ testEncoderMatchesUnfusedReference()
         add(xr, broadcastAddRow(matmul(hidden, w.w2), w.b2));
     T_CHECK(y == ref);
     Gemm::setEpilogueMode(modeBefore);
-    Gemm::setQuantMode(quantBefore);
 }
 
 void

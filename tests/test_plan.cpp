@@ -9,9 +9,9 @@
  * a one-image forwardRaggedInto (for every kernel in the zoo, fp32 and
  * int8, on one worker and on three); an encoder nobody compiled
  * compiles the default plan on its first forward and matches an
- * explicit compilePlan(); and the first int8 forward on an fp32-only
- * plan adds int8 panels that match a plan compiled with packInt8. The
- * prepacked weight panels are the same bytes the per-call pack loop
+ * explicit compilePlan(); and the precision is frozen at compile — an
+ * int8 plan holds only int8 panels and ignores later changes of the
+ * quant knob until it is recompiled. The prepacked weight panels are the same bytes the per-call pack loop
  * would have produced and the scalar backend runs an unpack-free
  * reference path, so "prepacked" never means "different floats".
  *
@@ -266,11 +266,11 @@ testFirstForwardCompilesDefaultPlan()
     }
 }
 
-/** The first int8 forward on an fp32-only plan adds int8 panels to
- * that plan, bitwise-equal to a plan compiled with packInt8; the fp32
- * panels keep serving fp32 forwards unchanged. */
+/** A plan freezes the precision the quant knob names when it compiles:
+ * flipping the knob afterwards changes neither hasInt8() nor a float,
+ * and compilePlan() re-reads it. */
 void
-testFirstInt8ForwardAddsPanels()
+testPrecisionFrozenAtCompile()
 {
     const VitConfig cfg = planConfig();
     Rng rng(0xabf);
@@ -278,28 +278,100 @@ testFirstInt8ForwardAddsPanels()
     for (const size_t workers : {1, 3}) {
         ThreadPool pool(workers);
         QuantGuard guard;
-        Gemm::setQuantMode(Gemm::QuantMode::Off);
-        VitEncoder enc(cfg, makeAttention(AttentionType::Taylor), 42);
-        enc.compilePlan();
-        const Matrix fp32 = enc.forward(x, pool);
-        T_CHECK(!enc.plan()->hasInt8());
-
-        VitEncoder packed(cfg, makeAttention(AttentionType::Taylor), 42);
-        PlanOptions opts;
-        opts.packInt8 = true;
-        packed.compilePlan(opts);
-        T_CHECK(packed.plan()->hasInt8());
+        VitEncoder fp32Twin(cfg, makeAttention(AttentionType::Taylor), 42);
+        PlanOptions fp32Opts;
+        fp32Opts.packInt8 = false;
+        fp32Twin.compilePlan(fp32Opts);
+        const Matrix fp32 = fp32Twin.forward(x, pool);
 
         Gemm::setQuantMode(Gemm::QuantMode::Int8);
-        const EncoderPlan *before = enc.plan();
+        VitEncoder enc(cfg, makeAttention(AttentionType::Taylor), 42);
+        enc.compilePlan();
+        T_CHECK(enc.plan()->hasInt8());
         const Matrix int8 = enc.forward(x, pool);
-        T_CHECK(enc.plan() == before && enc.plan()->hasInt8());
-        T_CHECK(int8 == packed.forward(x, pool));
         T_CHECK(int8 != fp32);
 
         Gemm::setQuantMode(Gemm::QuantMode::Off);
+        T_CHECK(enc.plan()->hasInt8());
+        T_CHECK(enc.forward(x, pool) == int8);
+
+        enc.compilePlan(); // re-reads the knob: now fp32
+        T_CHECK(!enc.plan()->hasInt8());
         T_CHECK(enc.forward(x, pool) == fp32);
+
+        Gemm::setQuantMode(Gemm::QuantMode::Int8);
+        enc.compilePlan();
+        T_CHECK(enc.plan()->hasInt8());
+        T_CHECK(enc.forward(x, pool) == int8);
     }
+}
+
+/** An explicit packInt8 beats the ambient knob both ways. */
+void
+testExplicitPrecisionBeatsKnob()
+{
+    const VitConfig cfg = planConfig();
+    Rng rng(0xac0);
+    const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
+    ThreadPool pool(2);
+    QuantGuard guard;
+
+    Gemm::setQuantMode(Gemm::QuantMode::Off);
+    VitEncoder fp32Ref(cfg, makeAttention(AttentionType::Softmax), 7);
+    fp32Ref.compilePlan();
+    Gemm::setQuantMode(Gemm::QuantMode::Int8);
+    VitEncoder int8Ref(cfg, makeAttention(AttentionType::Softmax), 7);
+    int8Ref.compilePlan();
+
+    // Ambient int8, explicit fp32.
+    VitEncoder pinnedFp32(cfg, makeAttention(AttentionType::Softmax), 7);
+    PlanOptions opts;
+    opts.packInt8 = false;
+    pinnedFp32.compilePlan(opts);
+    T_CHECK(!pinnedFp32.plan()->hasInt8());
+    T_CHECK(pinnedFp32.forward(x, pool) == fp32Ref.forward(x, pool));
+
+    // Ambient off, explicit int8.
+    Gemm::setQuantMode(Gemm::QuantMode::Off);
+    VitEncoder pinnedInt8(cfg, makeAttention(AttentionType::Softmax), 7);
+    opts.packInt8 = true;
+    pinnedInt8.compilePlan(opts);
+    T_CHECK(pinnedInt8.plan()->hasInt8());
+    T_CHECK(pinnedInt8.forward(x, pool) == int8Ref.forward(x, pool));
+}
+
+/** A plan packs one precision: its packedBytes() is exactly the sum of
+ * that precision's panels for the six dense weights of every layer. */
+void
+testPlanPacksOnePrecision()
+{
+    const VitConfig cfg = planConfig();
+    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
+    size_t fp32Bytes = 0, int8Bytes = 0;
+    for (size_t l = 0; l < cfg.layers; ++l) {
+        const VitEncoder::LayerWeights &w = enc.layer(l);
+        for (const Matrix *m : {&w.wq, &w.wk, &w.wv, &w.wo, &w.w1, &w.w2}) {
+            PackedMatrix fp32;
+            fp32.packFp32(*m);
+            fp32Bytes += fp32.packedBytes();
+            QuantizedMatrix q;
+            q.assignWeights(*m);
+            PackedMatrix int8;
+            int8.packInt8(q);
+            int8Bytes += int8.packedBytes();
+        }
+    }
+    PlanOptions opts;
+    opts.packInt8 = true;
+    enc.compilePlan(opts);
+    T_CHECK(enc.plan()->packedBytes() == int8Bytes);
+    for (size_t l = 0; l < cfg.layers; ++l)
+        T_CHECK(!enc.plan()->pack(l).w1.hasFp32() &&
+                enc.plan()->pack(l).w1.hasInt8());
+    opts.packInt8 = false;
+    enc.compilePlan(opts);
+    T_CHECK(enc.plan()->packedBytes() == fp32Bytes);
+    T_CHECK(int8Bytes < fp32Bytes);
 }
 
 /** An all-Softmax schedule over a Taylor encoder computes exactly
@@ -444,7 +516,7 @@ testPlanIntrospection()
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
     PlanOptions opts;
     opts.maxBatch = 4;
-    opts.packInt8 = true;
+    opts.packInt8 = false;
     enc.compilePlan(opts);
     const EncoderPlan &plan = *enc.plan();
     T_CHECK(plan.layers() == cfg.layers);
@@ -470,7 +542,9 @@ main()
     testPackedGemmInt8Parity();
     testWrapperMatchesRaggedForward();
     testFirstForwardCompilesDefaultPlan();
-    testFirstInt8ForwardAddsPanels();
+    testPrecisionFrozenAtCompile();
+    testExplicitPrecisionBeatsKnob();
+    testPlanPacksOnePrecision();
     testHeteroScheduleExecution();
     testScheduleValidation();
     testPlannedRaggedZeroAlloc();

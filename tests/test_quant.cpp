@@ -326,12 +326,43 @@ testScalarAvx2BitwiseParity()
     }
 }
 
-/** Epilogues on the quantized path: fused == unfused bitwise, and the
- * backends agree bitwise under every epilogue combination. */
+/**
+ * The quantized product with ep applied as separate passes in the
+ * fused write-back's documented element order: bias, activation,
+ * residual add.
+ */
+void
+unfusedReference(Matrix &dst, const QuantizedMatrix &qa,
+                 const QuantizedMatrix &qb, const Gemm::Epilogue &ep,
+                 Gemm::Backend backend)
+{
+    Matrix product;
+    Gemm::multiply(product, qa, qb, Gemm::Trans::None, Gemm::Epilogue{},
+                   backend);
+    if (ep.bias)
+        broadcastAddRowInto(product, product, *ep.bias);
+    if (ep.act == Gemm::Epilogue::Act::Gelu)
+        geluInto(product, product);
+    if (ep.act == Gemm::Epilogue::Act::GeluFast) {
+        for (size_t i = 0; i < product.rows(); ++i)
+            for (size_t j = 0; j < product.cols(); ++j)
+                product(i, j) = geluApproxScalar(product(i, j));
+    }
+    if (ep.accumulate)
+        addInto(dst, dst, product);
+    else
+        dst.copyFrom(product);
+}
+
+/** Epilogues on the quantized path: fused == the unfused reference
+ * bitwise, and the backends agree bitwise under every epilogue
+ * combination. */
 void
 testEpilogueParity()
 {
     ModeGuard guard;
+    // The exact-GELU contract: the fast mode would rewrite Gelu.
+    Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
     Rng rng(0xABC5);
     const size_t m = 17, n = 64, k = 33;
     Matrix a, b;
@@ -360,25 +391,18 @@ testEpilogueParity()
         backends.push_back(Gemm::Backend::Avx2);
 
     for (const Gemm::Epilogue &ep : epilogues) {
-        Matrix ref;
-        bool haveRef = false;
+        Matrix first;
         for (Gemm::Backend backend : backends) {
-            for (Gemm::EpilogueMode mode :
-                 {Gemm::EpilogueMode::Fused,
-                  Gemm::EpilogueMode::Unfused}) {
-                Gemm::setEpilogueMode(mode);
-                Matrix c = seed; // accumulate needs a seeded dst
-                Gemm::multiply(c, qa, qb, Gemm::Trans::None, ep,
-                               backend);
-                if (!haveRef) {
-                    ref = c;
-                    haveRef = true;
-                } else {
-                    T_CHECK(c == ref);
-                }
-            }
+            Matrix c = seed; // accumulate needs a seeded dst
+            Gemm::multiply(c, qa, qb, Gemm::Trans::None, ep, backend);
+            Matrix ref = seed;
+            unfusedReference(ref, qa, qb, ep, backend);
+            T_CHECK(c == ref);
+            if (first.empty())
+                first = c;
+            else
+                T_CHECK(c == first);
         }
-        Gemm::setEpilogueMode(guard.epilogue);
     }
 }
 
@@ -435,9 +459,12 @@ testEncoderInt8Deviation()
         VitEncoder encoder(tc.cfg, makeAttention(AttentionType::Softmax),
                            0x77);
 
+        // The plan freezes the precision the knob names at compile.
         Gemm::setQuantMode(Gemm::QuantMode::Off);
+        encoder.compilePlan();
         const Matrix yFp = encoder.forward(x, pool);
         Gemm::setQuantMode(Gemm::QuantMode::Int8);
+        encoder.compilePlan();
         const Matrix yQ = encoder.forward(x, pool);
 
         const float diff = maxAbsDiff(yFp, yQ);
@@ -462,8 +489,9 @@ testEncoderInt8Deviation()
     }
 }
 
-/** VITALITY_QUANT=off leaves every fp32 code path untouched: toggling
- * the knob off reproduces the fp32 result bitwise. */
+/** VITALITY_QUANT=off leaves every fp32 code path untouched: a plan
+ * recompiled with the knob back off reproduces the fp32 result
+ * bitwise after an int8 plan ran. */
 void
 testOffModeUnchanged()
 {
@@ -477,10 +505,13 @@ testOffModeUnchanged()
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x88);
 
     Gemm::setQuantMode(Gemm::QuantMode::Off);
+    encoder.compilePlan();
     const Matrix y1 = encoder.forward(x, pool);
     Gemm::setQuantMode(Gemm::QuantMode::Int8);
-    (void)encoder.forward(x, pool);
+    encoder.compilePlan();
+    T_CHECK(encoder.forward(x, pool) != y1);
     Gemm::setQuantMode(Gemm::QuantMode::Off);
+    encoder.compilePlan();
     T_CHECK(encoder.forward(x, pool) == y1);
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Serving-engine suite: DynamicBatcher policy edges, bitwise identity
  * of served results vs direct forwards (for every zoo kernel),
- * ModelServer registry/error paths, RuntimeOptions resolution, and
- * the zoo kernel-id round-trip.
+ * ModelServer registry/error paths, concurrent dispatch of an fp32 and
+ * an int8 model (run under TSan), RuntimeOptions resolution, and the
+ * zoo kernel-id round-trip.
  *
  * Timing-dependent edges are asserted structurally, not by wall
  * clock: the max-wait test proves a partial batch dispatches at all
@@ -15,14 +16,17 @@
  * interleaving.
  */
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "attention/zoo.h"
 #include "base/rng.h"
+#include "model/encoder_plan.h"
 #include "model/request_batch.h"
 #include "model/token_pruner.h"
 #include "model/vit_config.h"
@@ -207,16 +211,16 @@ testRuntimeOptionsResolution()
     // Nested guards unwind in order.
     {
         RuntimeOptions outer;
-        outer.epilogueMode = Gemm::EpilogueMode::Unfused;
+        outer.epilogueMode = Gemm::EpilogueMode::FusedFast;
         RuntimeOptions::Scoped s1(outer);
-        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::Unfused);
+        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::FusedFast);
         {
             RuntimeOptions inner;
             inner.epilogueMode = Gemm::EpilogueMode::Fused;
             RuntimeOptions::Scoped s2(inner);
             T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::Fused);
         }
-        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::Unfused);
+        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::FusedFast);
     }
     T_CHECK(Gemm::epilogueMode() == *cur.epilogueMode);
 
@@ -242,8 +246,6 @@ testParseHelpers()
 {
     T_CHECK(Gemm::parseEpilogueMode("fused") ==
             Gemm::EpilogueMode::Fused);
-    T_CHECK(Gemm::parseEpilogueMode("unfused") ==
-            Gemm::EpilogueMode::Unfused);
     T_CHECK(Gemm::parseEpilogueMode("fast") ==
             Gemm::EpilogueMode::FusedFast);
     T_CHECK(!Gemm::parseEpilogueMode("bogus"));
@@ -452,12 +454,6 @@ testSubmitShapeValidation()
     Rng rng(0x51ff);
     const Matrix small = Matrix::randn(3, cfg.dModel, rng);
     (void)batcher.submit(small).get();
-    // Pinned options without a gate are a construction error.
-    RuntimeOptions pin;
-    pin.quantMode = Gemm::QuantMode::Off;
-    T_CHECK_THROWS(
-        DynamicBatcher(encoder, pool, BatchPolicy{}, pin, nullptr),
-        std::invalid_argument);
 }
 
 /**
@@ -572,51 +568,35 @@ testModelServerConfigValidation()
     // Under a token-keep sweep the response may carry fewer rows.
     T_CHECK(r.output.rows() >= 1 && r.output.rows() <= cfg.tokens);
     T_CHECK(r.output.cols() == cfg.dModel);
-
-    // Unavailable pinned backend is a registration-time error.
-    if (!Gemm::available(Gemm::Backend::Avx2)) {
-        ModelConfig pinned;
-        pinned.preset = cfg;
-        pinned.kernel = AttentionType::Softmax;
-        pinned.options.gemmBackend = Gemm::Backend::Avx2;
-        T_CHECK_THROWS(server.addModel(pinned), std::invalid_argument);
-    }
 }
 
 /**
- * Per-model pinned options: a model pinned to the dense sparse path
- * must produce the dense-path result even when the ambient process
- * mode is csr, and the ambient mode must be restored after dispatch.
+ * Only the fields a plan freezes are per model: pinning any of the
+ * process-wide knobs fails registration, and the per-model ones
+ * register.
  */
 void
-testModelServerPinnedOptions()
+testModelServerRejectsProcessWideOptions()
 {
-    const VitConfig cfg = tinyConfig();
-    const SparseExec ambient = sparseExecMode();
+    ModelServer server(1);
+    ModelConfig base;
+    base.preset = tinyConfig();
+    base.kernel = AttentionType::Unified;
+    std::vector<ModelConfig> pinned(4, base);
+    pinned[0].options.gemmBackend = Gemm::Backend::Scalar;
+    pinned[1].options.threads = size_t{1};
+    pinned[2].options.epilogueMode = Gemm::EpilogueMode::Fused;
+    pinned[3].options.sparseMode = SparseExec::Dense;
+    for (const ModelConfig &mc : pinned)
+        T_CHECK_THROWS(server.addModel(mc), std::invalid_argument);
+    T_CHECK(server.models().empty());
 
-    // Reference outputs under each forced mode, computed directly.
-    ThreadPool pool(2);
-    const Matrix in = randomTokens(cfg, 9);
-    Matrix wantDense;
-    {
-        setSparseExecMode(SparseExec::Dense);
-        VitEncoder ref(cfg, makeAttention(AttentionType::Unified), 0x7);
-        wantDense = refForward(ref, in, pool);
-        setSparseExecMode(ambient);
-    }
-
-    ModelServer server(2);
-    ModelConfig pinned;
-    pinned.preset = cfg;
-    pinned.kernel = AttentionType::Unified;
-    pinned.seed = 0x7;
-    pinned.options.sparseMode = SparseExec::Dense;
-    const std::string key = server.addModel(pinned);
-    const Matrix got = server.submit(key, in).get().output;
-    T_CHECK(got == wantDense);
-    // Dispatch restored the ambient mode.
-    T_CHECK(sparseExecMode() == ambient);
-    server.shutdown();
+    ModelConfig perModel = base;
+    perModel.options.quantMode = Gemm::QuantMode::Int8;
+    perModel.options.tokenKeep = 0.5f;
+    perModel.options.layerKernels = std::string();
+    (void)server.addModel(perModel);
+    T_CHECK(server.models().size() == 1);
 }
 
 /**
@@ -694,6 +674,85 @@ testConcurrentSubmitStress()
     server.shutdown();
 }
 
+/**
+ * Models dispatch concurrently on one pool with no gate: an fp32
+ * Taylor model at keep 1.0 and a Softmax model pinned to int8 at keep
+ * 0.5, hammered from four threads. Every response equals, bitwise, a
+ * solo forward of a same-seed encoder compiled with the same
+ * PlanOptions. CI runs this under TSan.
+ */
+void
+testConcurrentMixedModels()
+{
+    const VitConfig cfg = tinyConfig();
+    ModelConfig configs[2];
+    configs[0].preset = cfg;
+    configs[0].kernel = AttentionType::Taylor;
+    configs[0].seed = 0x51;
+    configs[0].policy.maxBatch = 4;
+    configs[0].policy.maxWaitMicros = 1000;
+    configs[0].policy.queueCapacity = 128;
+    configs[0].options.quantMode = Gemm::QuantMode::Off;
+    configs[0].options.tokenKeep = 1.0f;
+    configs[1] = configs[0];
+    configs[1].kernel = AttentionType::Softmax;
+    configs[1].seed = 0x52;
+    configs[1].options.quantMode = Gemm::QuantMode::Int8;
+    configs[1].options.tokenKeep = 0.5f;
+
+    Rng rng(0xc0c0);
+    std::vector<Matrix> inputs;
+    for (size_t n : {cfg.tokens, cfg.tokens / 2, size_t{9}})
+        inputs.push_back(Matrix::randn(n, cfg.dModel, rng, 0.0f, 1.0f));
+
+    // Solo references, compiled with the PlanOptions addModel derives.
+    std::vector<Matrix> want[2];
+    {
+        ThreadPool pool(2);
+        for (int m = 0; m < 2; ++m) {
+            const ModelConfig &mc = configs[m];
+            VitEncoder ref(mc.preset, makeAttention(mc.kernel), mc.seed);
+            PlanOptions opts;
+            opts.tokenKeep = mc.options.tokenKeep;
+            opts.packInt8 = mc.options.quantMode == Gemm::QuantMode::Int8;
+            opts.maxBatch = mc.policy.maxBatch;
+            ref.compilePlan(opts);
+            for (const Matrix &in : inputs)
+                want[m].push_back(refForward(ref, in, pool));
+        }
+    }
+    T_CHECK(want[0][0].rows() == cfg.tokens);
+    T_CHECK(want[1][0].rows() < cfg.tokens); // keep 0.5 prunes
+
+    ModelServer server(2);
+    const std::string keys[2] = {server.addModel(configs[0]),
+                                 server.addModel(configs[1])};
+    constexpr int kThreads = 4, kPerThread = 8;
+    std::atomic<int> matches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const int m = (t + i) % 2;
+                const size_t j = static_cast<size_t>(t + i / 2) %
+                                 inputs.size();
+                const InferenceResponse r =
+                    server.submit(keys[m], inputs[j]).get();
+                if (r.output == want[m][j])
+                    matches.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    T_CHECK(matches.load() == kThreads * kPerThread);
+    for (const std::string &key : keys) {
+        const BatcherStats s = server.stats(key);
+        T_CHECK(s.served == kThreads * kPerThread / 2 && s.errors == 0);
+    }
+    server.shutdown();
+}
+
 } // namespace
 
 int
@@ -715,8 +774,9 @@ main()
     testMixedTokenCountServing();
     testModelServerRegistryAndRouting();
     testModelServerConfigValidation();
-    testModelServerPinnedOptions();
+    testModelServerRejectsProcessWideOptions();
     testModelServerPinnedTokenKeep();
     testConcurrentSubmitStress();
+    testConcurrentMixedModels();
     return vitality::testing::finish("test_serve");
 }
