@@ -35,8 +35,8 @@
  * configuration that produced it — gemm_backend ("avx2" or "scalar",
  * override with VITALITY_GEMM), pool_threads (worker count),
  * gemm_threads (the intra-GEMM row-band width the main thread would
- * fan out, after the VITALITY_THREADS cap), epilogue ("fused" or
- * "fast"; VITALITY_EPILOGUE), sparse_mode ("csr" or
+ * fan out, after the VITALITY_THREADS cap), epilogue (always
+ * "fused"; older entries may read "fast"), sparse_mode ("csr" or
  * "dense", VITALITY_SPARSE), and quant_mode ("off" or "int8",
  * VITALITY_QUANT) — so the regression checker only compares runs
  * from matching configurations. Results are appended as
@@ -257,8 +257,8 @@ main(int argc, char **argv)
     ThreadPool pool;
     inform("gemm backend: %s, pool threads: %zu, gemm threads: %zu, "
            "epilogue: %s, sparse: %s, quant: %s (override with "
-           "VITALITY_GEMM / VITALITY_THREADS / VITALITY_EPILOGUE / "
-           "VITALITY_SPARSE / VITALITY_QUANT)",
+           "VITALITY_GEMM / VITALITY_THREADS / VITALITY_SPARSE / "
+           "VITALITY_QUANT)",
            Gemm::activeName(), pool.size(), Gemm::parallelWidth(),
            Gemm::epilogueModeName(Gemm::epilogueMode()),
            sparseExecName(sparseExecMode()),

@@ -188,8 +188,6 @@ RuntimeOptions::apply() const
         Gemm::setActive(*gemmBackend);
     if (threads)
         Gemm::setMaxThreads(*threads);
-    if (epilogueMode)
-        Gemm::setEpilogueMode(*epilogueMode);
     if (sparseMode)
         setSparseExecMode(*sparseMode);
     if (quantMode)
@@ -214,8 +212,6 @@ RuntimeOptions::fromEnv()
         out.gemmBackend = Gemm::parseBackend(env);
     if (const char *env = std::getenv("VITALITY_THREADS"); env && *env)
         out.threads = parseThreads(env);
-    if (const char *env = std::getenv("VITALITY_EPILOGUE"); env && *env)
-        out.epilogueMode = Gemm::parseEpilogueMode(env);
     if (const char *env = std::getenv("VITALITY_SPARSE"); env && *env)
         out.sparseMode = parseSparseExec(env);
     if (const char *env = std::getenv("VITALITY_QUANT"); env && *env)

@@ -1,15 +1,14 @@
 /**
  * @file
- * RuntimeOptions: the one programmatic surface over the library's seven
+ * RuntimeOptions: the one programmatic surface over the library's six
  * execution knobs.
  *
  * Before this struct existed, pinning an execution mode meant knowing
- * the env variables (VITALITY_GEMM, VITALITY_THREADS,
- * VITALITY_EPILOGUE, VITALITY_SPARSE, VITALITY_QUANT, VITALITY_TOKENS,
- * and now VITALITY_LAYERS) and as many ad-hoc setters scattered across
- * layers (Gemm::setActive, Gemm::setMaxThreads, Gemm::setEpilogueMode,
- * setSparseExecMode, Gemm::setQuantMode, setTokenKeepRatio,
- * setLayerKernelSchedule).
+ * the env variables (VITALITY_GEMM, VITALITY_THREADS, VITALITY_SPARSE,
+ * VITALITY_QUANT, VITALITY_TOKENS, VITALITY_LAYERS) and as many ad-hoc
+ * setters scattered across layers (Gemm::setActive,
+ * Gemm::setMaxThreads, setSparseExecMode, Gemm::setQuantMode,
+ * setTokenKeepRatio, setLayerKernelSchedule).
  * RuntimeOptions gathers them into one struct of optional fields, and
  * defines THE resolution order, documented once, here:
  *
@@ -17,23 +16,23 @@
  *
  * An engaged optional is an explicit value. A disengaged optional
  * defers to the process state, which the per-knob lazy resolvers
- * (Gemm::active(), Gemm::maxThreads(), Gemm::epilogueMode(),
- * sparseExecMode(), Gemm::quantMode()) initialize exactly once from
- * the env variable, falling back to the built-in default ("best
- * available backend", uncapped, fused, csr, off). The env variables
- * are therefore a fully supported back-compat layer, not a deprecated
- * one: options the caller leaves unset behave bitwise-identically to
- * the pre-RuntimeOptions library.
+ * (Gemm::active(), Gemm::maxThreads(), sparseExecMode(),
+ * Gemm::quantMode()) initialize exactly once from the env variable,
+ * falling back to the built-in default ("best available backend",
+ * uncapped, csr, off). The env variables are therefore a fully
+ * supported back-compat layer, not a deprecated one: options the
+ * caller leaves unset behave bitwise-identically to the
+ * pre-RuntimeOptions library.
  *
  * The struct is plain data with two uses. A ModelServer config carries
  * one per model, but only the fields an encoder's compiled plan freezes
  * (quantMode, tokenKeep, layerKernels) may be engaged there: the plan
  * reads them once at registration and serving never installs anything
- * into the process state. The other four fields (gemmBackend, threads,
- * epilogueMode, sparseMode) stay process-global — the GEMM dispatch and
- * the sparse execution path read global atomics on every call — and a
- * caller installs them with apply() at a setup point, or temporarily
- * with the RAII Scoped guard (a caller utility for tests and benches,
+ * into the process state. Three more (gemmBackend, threads,
+ * sparseMode) stay process-global — the GEMM dispatch and the sparse
+ * execution path read global atomics on every call — and a caller
+ * installs them with apply() at a setup point, or temporarily with
+ * the RAII Scoped guard (a caller utility for tests and benches,
  * e.g. one scalar-backend reference forward). Like the setters they
  * wrap, apply()/Scoped are not synchronized with in-flight multiplies:
  * the caller makes sure no forward runs across the change.
@@ -105,7 +104,11 @@ struct RuntimeOptions
      */
     std::optional<size_t> threads;
 
-    /** Epilogue mode (VITALITY_EPILOGUE; default fused). */
+    /**
+     * Epilogue mode. Fused is the only one, so apply() has nothing to
+     * install; the field stays for callers that pin or report it, and
+     * ModelServer::addModel rejects it like the process-wide knobs.
+     */
     std::optional<Gemm::EpilogueMode> epilogueMode;
 
     /** Sparse-branch execution path (VITALITY_SPARSE; default csr). */
@@ -153,7 +156,7 @@ struct RuntimeOptions
     static RuntimeOptions current();
 
     /**
-     * Parse the seven VITALITY_* variables into an options set:
+     * Parse the six VITALITY_* variables into an options set:
      * engaged where the variable is set and well-formed, disengaged
      * otherwise (unset AND malformed — the lazy resolvers warn about
      * malformed text, this helper just skips it). Introspection /

@@ -4,6 +4,7 @@
 #include <exception>
 #include <utility>
 
+#include "base/check.h"
 #include "base/logging.h"
 #include "model/request_batch.h"
 
@@ -72,6 +73,16 @@ DynamicBatcher::submit(const Matrix &tokens)
                    "rows",
                    tokens.shapeStr().c_str(), cfg.name.c_str(),
                    cfg.tokens));
+    }
+    // A NaN or Inf token would come back as a NaN response, and in a
+    // checked build it trips the encoder's finite-input DCHECK, which
+    // aborts the server with every other request in flight: reject it
+    // here in every build.
+    if (!check::allFinite(tokens.data(), tokens.size())) {
+        throw ServeError(ServeErrorCode::BadRequest,
+                         strfmt("submit: input %s holds a non-finite "
+                                "value",
+                                tokens.shapeStr().c_str()));
     }
 
     std::future<InferenceResponse> future;

@@ -134,9 +134,11 @@ class DynamicBatcher
      * Enqueue one image (copied). Returns the future that completes
      * when the request's batch has run. Throws ServeError with
      * BadRequest for token-count-incompatible inputs (rows outside
-     * [1, preset tokens] or columns != dModel — typed here at the
-     * ingress instead of surfacing as a downstream VITALITY_CHECK
-     * abort), QueueFull, or Stopping; on throw, nothing was enqueued.
+     * [1, preset tokens] or columns != dModel) and for non-finite
+     * tokens (NaN/Inf) — typed here at the ingress in every build
+     * instead of surfacing as a downstream VITALITY_CHECK abort or a
+     * NaN response — QueueFull, or Stopping; on throw, nothing was
+     * enqueued.
      */
     std::future<InferenceResponse> submit(const Matrix &tokens);
 

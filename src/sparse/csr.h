@@ -54,7 +54,7 @@ enum class SparseExec
 
 /**
  * The active mode: VITALITY_SPARSE ("dense" or "csr", default csr),
- * resolved once, lazily — same contract as Gemm::epilogueMode().
+ * resolved once, lazily — same contract as Gemm::quantMode().
  */
 SparseExec sparseExecMode();
 

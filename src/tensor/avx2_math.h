@@ -7,15 +7,16 @@
  * unconditionally and rely on the caller's runtime CPUID dispatch.
  *
  * Lane-for-lane the same program as the scalar exp2Core /
- * tanhApproxCore / geluApproxScalar in tensor/ops.cpp: identical
- * constants (tensor/transcendental.h), identical operation order, and
+ * tanhApproxCore / geluScalar in tensor/ops.cpp: identical constants
+ * (tensor/transcendental.h), identical operation order, and
  * deliberately plain mul/add — no _mm256_fmadd_ps — because the scalar
  * fallback (baseline ISA, -ffp-contract=off) rounds every product and
- * sum separately, and the fast GELU's bitwise contract is that full
- * tiles (these vectors) and ragged edges (epilogueApplyRow ->
- * geluApproxScalar) produce identical bits. The max/min clamps rely on
- * the documented vmaxps/vminps NaN-takes-the-second-operand semantics,
- * which the scalar selects mirror.
+ * sum separately, and the GELU's bitwise contract is that full tiles
+ * (these vectors) and everything else — ragged edges, the scalar
+ * backends, geluInto, all through geluScalar — produce identical
+ * bits. The max/min clamps rely on the documented vmaxps/vminps
+ * NaN-takes-the-second-operand semantics, which the scalar selects
+ * mirror.
  */
 
 #ifndef VITALITY_TENSOR_AVX2_MATH_H

@@ -287,10 +287,6 @@ resolveDefault()
 // the env override applies no matter when the first multiply happens.
 std::atomic<int> g_active{-1};
 
-// -1 = unresolved; otherwise a Gemm::EpilogueMode value
-// (VITALITY_EPILOGUE=fused|fast, default fused).
-std::atomic<int> g_epilogueMode{-1};
-
 // -2 = unresolved; otherwise the VITALITY_THREADS cap (0 = uncapped).
 std::atomic<long> g_maxThreads{-2};
 
@@ -480,7 +476,7 @@ Gemm::multiply(Matrix &dst, const Matrix &a, const PackedMatrix &b,
 
 void
 Gemm::multiplyImpl(Matrix &dst, const Matrix &a, const Matrix &b,
-                   Trans trans, const Epilogue &epilogue, Backend backend,
+                   Trans trans, const Epilogue &ep, Backend backend,
                    const float *packedB)
 {
     // Guard the explicit-backend path too: without this, requesting
@@ -491,13 +487,6 @@ Gemm::multiplyImpl(Matrix &dst, const Matrix &a, const Matrix &b,
             strfmt("gemm: backend %s is not available on this host",
                    backendName(backend)));
     }
-    // Fast mode executes Gelu epilogues as GeluFast (the vectorized
-    // polynomial tanh); an explicitly requested GeluFast act is always
-    // honored regardless of mode.
-    Epilogue ep = epilogue;
-    if (ep.act == Epilogue::Act::Gelu &&
-        epilogueMode() == EpilogueMode::FusedFast)
-        ep.act = Epilogue::Act::GeluFast;
     const GemmDims dims = checkedDims(a, b, trans);
     // Matrix always owns its storage, so object identity is the only
     // possible aliasing.
@@ -619,7 +608,7 @@ Gemm::multiply(Matrix &dst, const QuantizedMatrix &a,
 void
 Gemm::multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
                        const QuantizedMatrix &b, Trans trans,
-                       const Epilogue &epilogue, Backend backend,
+                       const Epilogue &ep, Backend backend,
                        const int8_t *packedB, const int32_t *packedWsum)
 {
     if (!available(backend)) {
@@ -627,10 +616,6 @@ Gemm::multiplyImplInt8(Matrix &dst, const QuantizedMatrix &a,
             strfmt("gemm: backend %s is not available on this host",
                    backendName(backend)));
     }
-    Epilogue ep = epilogue;
-    if (ep.act == Epilogue::Act::Gelu &&
-        epilogueMode() == EpilogueMode::FusedFast)
-        ep.act = Epilogue::Act::GeluFast;
     // The integer core's saturation-freedom and zero-point algebra
     // assume A in the [0, 127] activation domain and B symmetric with
     // zero point 0; a per-row quantized A under Trans::A would hand
@@ -852,61 +837,6 @@ Gemm::parallelWidth()
     if (cap)
         width = std::min(width, cap);
     return std::max<size_t>(1, width);
-}
-
-Gemm::EpilogueMode
-Gemm::epilogueMode()
-{
-    int cur = g_epilogueMode.load(std::memory_order_acquire);
-    if (cur < 0) {
-        int resolved = static_cast<int>(EpilogueMode::Fused);
-        const char *env = std::getenv("VITALITY_EPILOGUE");
-        if (env && *env) {
-            const std::optional<EpilogueMode> wanted =
-                parseEpilogueMode(env);
-            if (wanted) {
-                resolved = static_cast<int>(*wanted);
-            } else {
-                warn("VITALITY_EPILOGUE=%s not recognized (want "
-                     "fused|fast); using fused",
-                     env);
-            }
-        }
-        int expected = -1;
-        g_epilogueMode.compare_exchange_strong(expected, resolved,
-                                               std::memory_order_acq_rel);
-        cur = g_epilogueMode.load(std::memory_order_acquire);
-    }
-    return static_cast<EpilogueMode>(cur);
-}
-
-void
-Gemm::setEpilogueMode(EpilogueMode mode)
-{
-    g_epilogueMode.store(static_cast<int>(mode),
-                         std::memory_order_release);
-}
-
-const char *
-Gemm::epilogueModeName(EpilogueMode mode)
-{
-    switch (mode) {
-    case EpilogueMode::Fused:
-        return "fused";
-    case EpilogueMode::FusedFast:
-        return "fast";
-    }
-    return "unknown";
-}
-
-std::optional<Gemm::EpilogueMode>
-Gemm::parseEpilogueMode(const std::string &name)
-{
-    if (name == "fused")
-        return EpilogueMode::Fused;
-    if (name == "fast")
-        return EpilogueMode::FusedFast;
-    return std::nullopt;
 }
 
 Gemm::QuantMode

@@ -35,7 +35,7 @@
  *
  *   t      = P(i, j)
  *   t     += bias(0, j)      if bias        (row-broadcast bias)
- *   t      = gelu(t)         if act == Gelu (tanh-approximation GELU)
+ *   t      = gelu(t)         if act == Gelu (geluScalar, tensor/ops.h)
  *   C(i,j) = C(i,j) + t      if accumulate  (residual add; C preshaped)
  *          = t               otherwise
  *
@@ -46,11 +46,11 @@
  * both backends, and the basis on which VitEncoder's fused rewrite
  * kept all of its bitwise batch/sequential parity guarantees. The
  * unfused sequence is a test-side reference only; production always
- * fuses. The VITALITY_EPILOGUE environment variable ("fused", the
- * default, or "fast") or setEpilogueMode() select the fast mode, which
- * swaps the GELU's std::tanh for the vectorized polynomial tanhApprox
- * (tensor/ops.h; <= 4e-7 absolute error — a numerics lever, and an
- * opt-in one).
+ * fuses. There is one GELU, the polynomial geluScalar (tensor/ops.h;
+ * within 4e-7 * (1 + |x| / 2) of the exact tanh formula): the AVX2
+ * write-backs run its 8-lane twin in registers on full tiles and call
+ * it on ragged edges, so the GELU itself is bitwise-identical across
+ * backends, edges and geluInto.
  *
  * Numerical contract (the documented cross-backend tolerance): both
  * backends accumulate every output element as a single running sum over
@@ -142,7 +142,7 @@
  * Thread-safety: multiply() is safe to call from any number of threads
  * concurrently (the packing arena is thread-local, so the steady state
  * stays allocation-free per worker, matching the AttentionContext
- * design). setActive(), setMaxThreads(), setEpilogueMode() and
+ * design). setActive(), setMaxThreads(), setQuantMode() and
  * setParallelRunner() are not synchronized with in-flight multiplies
  * and are meant for setup/teardown points (ThreadPool un-installs its
  * runner in its destructor, before joining its workers).
@@ -190,16 +190,6 @@ class Gemm
         {
             None, ///< Identity.
             Gelu, ///< tanh-approximation GELU (geluScalar in tensor/ops.h).
-            /**
-             * GELU with the polynomial tanhApprox inside
-             * (geluApproxScalar in tensor/ops.h): vectorized in the
-             * AVX2 write-back, bitwise-identical to the scalar
-             * fallback on every backend and edge path, within the
-             * documented 4e-7 tanh bound of Act::Gelu. Normally
-             * selected via VITALITY_EPILOGUE=fast rather than
-             * requested directly.
-             */
-            GeluFast,
         };
 
         /**
@@ -243,18 +233,13 @@ class Gemm
     };
 
     /**
-     * "fused" (default) or "fast" — see VITALITY_EPILOGUE above. Fast
-     * is fused plus the vectorized polynomial tanh in the GELU:
-     * Act::Gelu epilogues are executed as Act::GeluFast, trading the
-     * documented tanhApprox bound (<= 4e-7 absolute, tensor/ops.h)
-     * for skipping a std::tanh per MLP-hidden element; the fast
-     * path is still deterministic and bitwise-identical across
-     * backends' epilogue application.
+     * The one epilogue mode: post-ops applied in the backend's
+     * write-back. Kept as a reporting name (benches and the benchmark
+     * harness record it next to the other execution knobs).
      */
     enum class EpilogueMode
     {
-        Fused,     ///< Post-ops applied in the backend's write-back.
-        FusedFast, ///< Fused, with Gelu executed as GeluFast.
+        Fused,
     };
 
     /**
@@ -411,18 +396,11 @@ class Gemm
      */
     static size_t parallelWidth();
 
-    /** Active epilogue mode (VITALITY_EPILOGUE, resolved lazily). */
-    static EpilogueMode epilogueMode();
+    /** Always EpilogueMode::Fused. */
+    static EpilogueMode epilogueMode() { return EpilogueMode::Fused; }
 
-    /** Force the epilogue mode (test/bench hook). */
-    static void setEpilogueMode(EpilogueMode mode);
-
-    /** "fused" or "fast", for bench/trajectory reporting. */
-    static const char *epilogueModeName(EpilogueMode mode);
-
-    /** Parse a VITALITY_EPILOGUE value; nullopt on unrecognized text. */
-    static std::optional<EpilogueMode>
-    parseEpilogueMode(const std::string &name);
+    /** "fused", for bench/trajectory reporting. */
+    static const char *epilogueModeName(EpilogueMode) { return "fused"; }
 
     /**
      * Model-level quantized execution mode (VITALITY_QUANT, resolved

@@ -44,12 +44,13 @@
  *   - Full tiles store straight to C; edge tiles go through a 6x16
  *     scratch tile and copy only the valid region, so C is never read
  *     or written out of bounds.
- *   - On the final kc chunk the Epilogue (row-broadcast bias, tanh
- *     GELU, accumulate-into-C) is applied in the tile's write-back —
- *     one store pass instead of separate bias/activation/residual
- *     sweeps over the finished output. With an accumulate epilogue the
- *     inter-chunk partials are staged in a scratch band so the old C
- *     (the residual stream) survives until that final fused store.
+ *   - On the final kc chunk the Epilogue (row-broadcast bias, GELU,
+ *     accumulate-into-C) is applied in the tile's write-back, in
+ *     registers — one store pass instead of separate
+ *     bias/activation/residual sweeps over the finished output. With
+ *     an accumulate epilogue the inter-chunk partials are staged in a
+ *     scratch band so the old C (the residual stream) survives until
+ *     that final fused store.
  *
  * Only rows [rowBegin, rowEnd) of C are computed, so the dispatcher can
  * fan microkernel-aligned row bands across a thread pool; rowBegin is
@@ -66,7 +67,6 @@
 #include "tensor/gemm.h"
 #include "tensor/gemm_epilogue.h"
 #include "tensor/gemm_pack.h"
-#include "tensor/ops.h"
 #include "tensor/transcendental.h"
 #include "tensor/workspace.h"
 
@@ -76,9 +76,9 @@ namespace detail {
 // Panel geometry (kMr, kNr, kKc, kNc) and the packAPanel/packBPanel
 // helpers live in tensor/gemm_pack.h, shared with the weight-prepack
 // path so both produce byte-identical panels. The vectorized
-// polynomial GELU (Act::GeluFast) and its exp2/tanh cores live in
-// tensor/avx2_math.h, shared with the int8 backend so both write-backs
-// run the identical bitwise program.
+// polynomial GELU and its exp2/tanh cores live in tensor/avx2_math.h,
+// shared with the int8 backend so both write-backs run the identical
+// bitwise program.
 
 /**
  * 8-lane twin of the scalar approx row softmax in tensor/ops.cpp
@@ -268,11 +268,9 @@ microKernel6x16(size_t k, const float *pa, const float *pb,
  * edges go through the shared scalar helper (gemm_epilogue.h). The two
  * agree bitwise because a vector float add is the same rounding as a
  * scalar float add lane by lane — the vector path is the one
- * intentional second copy of the canonical element order. The exact
- * GELU (Act::Gelu) stays scalar — it is a std::tanh per element in
- * every path, fused or not — while Act::GeluFast runs the vectorized
- * polynomial above, whose lanes are bitwise-equal to the
- * geluApproxScalar fallback by construction.
+ * intentional second copy of the canonical element order. The GELU
+ * runs in registers as geluApprox8 (tensor/avx2_math.h), whose lanes
+ * are bitwise-equal to the geluScalar fallback by construction.
  */
 void
 epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
@@ -294,16 +292,6 @@ epilogueStoreTile(float *tile, Matrix &dst, size_t i0, size_t j0,
                 v1 = _mm256_add_ps(v1, b1);
             }
             if (ep.act == Gemm::Epilogue::Act::Gelu) {
-                _mm256_storeu_ps(src, v0);
-                _mm256_storeu_ps(src + 8, v1);
-                for (size_t c = 0; c < kNr; ++c)
-                    src[c] = geluScalar(src[c]);
-                v0 = _mm256_loadu_ps(src);
-                v1 = _mm256_loadu_ps(src + 8);
-            } else if (ep.act == Gemm::Epilogue::Act::GeluFast) {
-                // In-register polynomial GELU: no std::tanh, no store
-                // round-trip; bitwise-equal to geluApproxScalar per
-                // lane (see the vector-program comment above).
                 v0 = geluApprox8(v0);
                 v1 = geluApprox8(v1);
             }

@@ -8,10 +8,11 @@
  * include it. The AVX2 backend's vectorized full-tile store is the one
  * intentional second copy (lane-wise float adds round identically to
  * these scalar adds, which is what keeps it bitwise-equal; see
- * epilogueStoreTile in gemm_avx2.cpp). geluScalar is an out-of-line
- * baseline-ISA function and this header contains only float adds, so
- * including it from the -mfma TU cannot introduce rounding divergence
- * (the build additionally pins -ffp-contract=off).
+ * epilogueStoreTile in gemm_avx2.cpp, whose GELU lanes run
+ * geluScalar's 8-lane twin). geluScalar is an out-of-line baseline-ISA
+ * function and this header contains only float adds, so including it
+ * from the -mfma TU cannot introduce rounding divergence (the build
+ * additionally pins -ffp-contract=off).
  *
  * Internal to the tensor layer; not part of the public Gemm surface.
  */
@@ -29,10 +30,9 @@ namespace detail {
 
 /**
  * Write n finished raw products src[0..n) through the epilogue into
- * dst[0..n): t = src[j]; t += bias[j] if bias; t = act(t) (geluScalar
- * for Gelu, geluApproxScalar for GeluFast); dst[j] = accumulate ?
- * dst[j] + t : t. bias is pre-offset by the caller (nullptr when the
- * epilogue has none).
+ * dst[0..n): t = src[j]; t += bias[j] if bias; t = geluScalar(t) if
+ * act is Gelu; dst[j] = accumulate ? dst[j] + t : t. bias is
+ * pre-offset by the caller (nullptr when the epilogue has none).
  */
 inline void
 epilogueApplyRow(float *dst, const float *src, const float *bias,
@@ -44,8 +44,6 @@ epilogueApplyRow(float *dst, const float *src, const float *bias,
             t += bias[j];
         if (act == Gemm::Epilogue::Act::Gelu)
             t = geluScalar(t);
-        else if (act == Gemm::Epilogue::Act::GeluFast)
-            t = geluApproxScalar(t);
         dst[j] = accumulate ? dst[j] + t : t;
     }
 }

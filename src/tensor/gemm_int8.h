@@ -11,10 +11,10 @@
  * store is the one intentional second copy, built from lane-wise
  * single-rounding operations that match these scalar ones exactly,
  * mirroring the epilogueStoreTile precedent in gemm_avx2.cpp).
- * geluScalar / geluApproxScalar are out-of-line baseline-ISA
- * functions and this header contains only float add/mul/convert, so
- * including it from the -mavx2 TU cannot introduce rounding
- * divergence (-ffp-contract=off build-wide).
+ * geluScalar is an out-of-line baseline-ISA function and this header
+ * contains only float add/mul/convert, so including it from the
+ * -mavx2 TU cannot introduce rounding divergence (-ffp-contract=off
+ * build-wide).
  *
  * Internal to the tensor layer; not part of the public Gemm surface.
  */
@@ -61,8 +61,6 @@ dequantEpilogueRow(float *dst, const int32_t *acc, const int32_t *wsum,
             t += bias[j];
         if (act == Gemm::Epilogue::Act::Gelu)
             t = geluScalar(t);
-        else if (act == Gemm::Epilogue::Act::GeluFast)
-            t = geluApproxScalar(t);
         dst[j] = accumulate ? dst[j] + t : t;
     }
 }

@@ -30,12 +30,10 @@
  *     zero-point correction, the correctly-rounded int -> float
  *     conversion, and the scale/bias/accumulate float chain —
  *     lane-for-lane the same single-rounding operations as
- *     dequantEpilogueRow. Exact GELU applies the scalar function
- *     through a store/reload like the fp32 backend's exact-GELU
- *     tile; GeluFast runs the shared geluApprox8 vectors
- *     (tensor/avx2_math.h), whose bitwise contract with
- *     geluApproxScalar the fp32 backend already depends on. Ragged
- *     edges call dequantEpilogueRow itself. Scalar == AVX2 bitwise
+ *     dequantEpilogueRow. The GELU runs the shared geluApprox8
+ *     vectors (tensor/avx2_math.h), whose bitwise contract with
+ *     geluScalar the fp32 backend already depends on. Ragged edges
+ *     call dequantEpilogueRow itself. Scalar == AVX2 bitwise
  *     parity is therefore by construction (asserted across the whole
  *     shape grid by test_quant).
  *
@@ -133,12 +131,10 @@ microKernelInt8_4x16(size_t quads, const int8_t *pa, const int8_t *pb,
  * Full-width tiles vectorize the program of dequantEpilogueRow with
  * lane-wise single-rounding operations (exact epi32 zero-point
  * correction, correctly-rounded cvtepi32_ps, one mul for the scale,
- * one add for the bias / accumulate); exact GELU runs the scalar
- * function through a store/reload like the fp32 backend's exact GELU
- * tile, while GeluFast uses the shared geluApprox8 vectors (bitwise-
- * identical to geluApproxScalar). Ragged edges call the shared scalar
- * helper directly, so every element of every shape runs the identical
- * float program.
+ * one add for the bias / accumulate, and the shared geluApprox8
+ * vectors, bitwise-identical to geluScalar). Ragged edges call the
+ * shared scalar helper directly, so every element of every shape runs
+ * the identical float program.
  */
 void
 dequantStoreTile(int32_t *tile, Matrix &dst, size_t i0, size_t j0,
@@ -177,14 +173,6 @@ dequantStoreTile(int32_t *tile, Matrix &dst, size_t i0, size_t j0,
                 v1 = _mm256_add_ps(v1, b1);
             }
             if (ep.act == Gemm::Epilogue::Act::Gelu) {
-                alignas(32) float tmp[kNr8];
-                _mm256_storeu_ps(tmp, v0);
-                _mm256_storeu_ps(tmp + 8, v1);
-                for (size_t c = 0; c < kNr8; ++c)
-                    tmp[c] = geluScalar(tmp[c]);
-                v0 = _mm256_loadu_ps(tmp);
-                v1 = _mm256_loadu_ps(tmp + 8);
-            } else if (ep.act == Gemm::Epilogue::Act::GeluFast) {
                 v0 = geluApprox8(v0);
                 v1 = geluApprox8(v1);
             }

@@ -519,25 +519,17 @@ expElem(const Matrix &a)
     return c;
 }
 
-float
-geluScalar(float x)
-{
-    const float kSqrt2OverPi = 0.7978845608f;
-    const float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
 // --- polynomial transcendentals ---------------------------------------------
 //
-// The exp2 core shared by expApprox / tanhApprox / softmaxRowsApprox.
-// Every step is a plain IEEE mul/add/compare (no FMA, no library
-// call), so the sequence rounds identically wherever it is
-// instantiated — which is what lets the AVX2 row kernels in
-// gemm_avx2.cpp (the GELU epilogue, the approx softmax, the
-// quantizer) replicate it lane by lane and stay bitwise-equal to
-// these scalar fallbacks. Rounding to nearest-even uses the
-// 1.5 * 2^23 magic-number trick instead of nearbyint, keeping the
-// program free of rounding-mode library calls on every path.
+// The exp2 core shared by expApprox / tanhApprox / geluScalar /
+// softmaxRowsApprox. Every step is a plain IEEE mul/add/compare (no
+// FMA, no library call), so the sequence rounds identically wherever
+// it is instantiated — which is what lets the AVX2 kernels (the GELU
+// in both GEMM write-backs, the approx softmax, the quantizer)
+// replicate it lane by lane and stay bitwise-equal to these scalar
+// fallbacks. Rounding to nearest-even uses the 1.5 * 2^23
+// magic-number trick instead of nearbyint, keeping the program free
+// of rounding-mode library calls on every path.
 
 namespace detail {
 
@@ -611,10 +603,10 @@ tanhApprox(float x)
 }
 
 float
-geluApproxScalar(float x)
+geluScalar(float x)
 {
     // Same inner-polynomial order as the AVX2 lane program in
-    // gemm_avx2.cpp: x^3 as (x * x) * x, inner as
+    // tensor/avx2_math.h: x^3 as (x * x) * x, inner as
     // kGeluSqrt2OverPi * (x + kGeluCubic * x^3), result as
     // (0.5 * x) * (1 + tanh).
     const float x3 = (x * x) * x;

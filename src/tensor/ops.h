@@ -36,31 +36,16 @@
 namespace vitality {
 
 /**
- * Tanh-approximation GELU, the variant ViT/DeiT checkpoints use:
- *   0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
- * Deliberately defined once in ops.cpp (baseline ISA) rather than
- * inline: the GEMM backends call it from their fused write-back, and
- * an inline definition would also be emitted by the -mavx2 -mfma
- * translation unit — in unoptimized builds the linker may then keep
- * that VEX-encoded copy for every caller, breaking the scalar path on
- * hosts the runtime CPUID dispatch exists to support. The call cost is
- * noise next to the std::tanh inside, and a single definition makes
- * "fused epilogue matches the ops-layer GELU bitwise" true by
- * construction.
- */
-float geluScalar(float x);
-
-/**
  * @name Polynomial transcendental approximations
  *
  * One exp2 core — round-to-nearest argument split 2^z = 2^n * 2^f,
  * f in [-0.5, 0.5], degree-7 polynomial for 2^f, exponent-bit scale by
- * 2^n — backs all three functions. They exist because std::exp /
- * std::tanh are the encoder's largest non-GEMM costs (the predictor's
- * n^2 softmax and the GELU epilogue); the approximations are branch-free
- * mul/add/min/max sequences that auto-vectorize, and the AVX2 GELU
- * epilogue (gemm_avx2.cpp) replicates the exact same operation order
- * lane by lane, so the vector path and this scalar fallback are
+ * 2^n — backs all of them. They exist because std::exp / std::tanh
+ * were the encoder's largest non-GEMM costs (the predictor's n^2
+ * softmax and the GELU epilogue); the approximations are branch-free
+ * mul/add/min/max sequences that auto-vectorize, and the AVX2 GEMM
+ * write-backs (tensor/avx2_math.h) replicate the exact same operation
+ * order lane by lane, so the vector path and this scalar fallback are
  * bitwise-identical (asserted in test_gemm).
  *
  * Accuracy (verified over dense sweeps in test_ops):
@@ -75,9 +60,8 @@ float geluScalar(float x);
  * NaN does not propagate through expApprox / tanhApprox themselves
  * (NaN clamps like -inf), tanhApprox(-0) is +0, and expApprox
  * flushes to 2^-126 instead of 0 at the underflow end. Exact softmax
- * paths (SoftmaxAttention, maskedSoftmax*) keep std::exp; only the
- * quantized Sanger prediction front-end and the opt-in fast GELU
- * epilogue (VITALITY_EPILOGUE=fast) use these.
+ * paths (SoftmaxAttention, maskedSoftmax*) keep std::exp; the
+ * quantized Sanger prediction front-end and the GELU use these.
  */
 /// @{
 
@@ -88,11 +72,23 @@ float expApprox(float x);
 float tanhApprox(float x);
 
 /**
- * Tanh-approximation GELU with tanhApprox inside — the fast twin of
- * geluScalar, used by the GEMM write-back under VITALITY_EPILOGUE=fast
- * (and its bitwise scalar reference on every backend and edge path).
+ * Tanh-approximation GELU, the variant ViT/DeiT checkpoints use:
+ *   0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
+ * with tanhApprox inside, so it is within 4e-7 * (1 + |x| / 2) of the
+ * exact formula. The library's only GELU: geluInto, the scalar GEMM
+ * write-backs and the ragged edges of the AVX2 write-backs call it,
+ * and the AVX2 full tiles run its 8-lane twin (tensor/avx2_math.h),
+ * which makes "fused epilogue matches the ops-layer GELU bitwise" true
+ * by construction. NaN propagates through the outer 0.5 x (the tanh
+ * clamp alone would drop it); large |x| saturates exactly
+ * (geluScalar(30) == 30, geluScalar(-30) == 0). Deliberately defined
+ * once in ops.cpp (baseline ISA) rather than inline: an inline
+ * definition would also be emitted by the -mavx2 -mfma translation
+ * unit, and in unoptimized builds the linker may then keep that
+ * VEX-encoded copy for every caller, breaking the scalar path on hosts
+ * the runtime CPUID dispatch exists to support.
  */
-float geluApproxScalar(float x);
+float geluScalar(float x);
 
 /**
  * Row-wise softmax with expApprox inside — the low-precision softmax

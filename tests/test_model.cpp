@@ -279,13 +279,9 @@ testEncoderMatchesUnfusedReference()
     ThreadPool pool(2);
 
     // The bitwise contract below is between the fused write-back and
-    // the exact-GELU op sequence; the fast mode swaps the GELU and
-    // the int8 mode swaps the whole dense arithmetic by design. The
-    // epilogue mode is read per multiply, so it stays pinned for the
-    // test; the precision is frozen at plan compile, so the quant knob
-    // only needs to be off while the plan compiles.
-    const Gemm::EpilogueMode modeBefore = Gemm::epilogueMode();
-    Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
+    // the fp32 op sequence; the int8 mode swaps the whole dense
+    // arithmetic by design. The precision is frozen at plan compile,
+    // so the quant knob only needs to be off while the plan compiles.
     const Gemm::QuantMode quantBefore = Gemm::quantMode();
     Gemm::setQuantMode(Gemm::QuantMode::Off);
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0xabc);
@@ -317,7 +313,6 @@ testEncoderMatchesUnfusedReference()
     const Matrix ref =
         add(xr, broadcastAddRow(matmul(hidden, w.w2), w.b2));
     T_CHECK(y == ref);
-    Gemm::setEpilogueMode(modeBefore);
 }
 
 void

@@ -240,24 +240,36 @@ testWorkspaceRecycling()
 void
 testGelu()
 {
-    // geluScalar is the scalar reference the fused GEMM epilogue must
-    // reproduce bitwise, so pin its closed form at a few points.
-    T_CHECK(geluScalar(0.0f) == 0.0f);
-    T_CHECK_CLOSE(geluScalar(10.0f), 10.0f, 1e-4);
-    T_CHECK_CLOSE(geluScalar(-10.0f), 0.0f, 1e-4);
+    // geluScalar is the one GELU every path runs (the fused GEMM
+    // epilogues reproduce it bitwise), so pin it against the closed
+    // form computed independently in double precision, over a dense
+    // sweep, at the documented bound (ops.h): the tanh error scaled by
+    // |x| / 2, the derivative of the outer 0.5 x (1 + tanh).
+    const double pi = 3.14159265358979323846;
+    double worst = 0.0;
+    for (double x = -12.0; x <= 12.0; x += 1.3e-4) {
+        const float xf = static_cast<float>(x);
+        const double xd = xf;
+        const double inner =
+            std::sqrt(2.0 / pi) * (xd + 0.044715 * xd * xd * xd);
+        const double ref = 0.5 * xd * (1.0 + std::tanh(inner));
+        const double bound = 4e-7 * (1.0 + std::fabs(xd) / 2.0);
+        worst = std::max(worst,
+                         std::fabs((double)geluScalar(xf) - ref) / bound);
+    }
+    std::printf("  geluScalar worst error %.2f of the bound\n", worst);
+    T_CHECK(worst <= 1.0);
     // Published value of tanh-GELU at 1.0, and the reflection identity
     // gelu(x) - gelu(-x) == x (since gelu(x) = x * sigmoid-like(x)).
     T_CHECK_CLOSE(geluScalar(1.0f), 0.841192f, 1e-5);
     for (float x : {-3.0f, -0.7f, 0.3f, 2.5f})
         T_CHECK_CLOSE(geluScalar(x) - geluScalar(-x), x, 1e-5);
-    // Against the formula computed independently in double precision.
-    for (float x = -4.0f; x <= 4.0f; x += 0.37f) {
-        const double pi = 3.14159265358979323846;
-        const double inner =
-            std::sqrt(2.0 / pi) * (x + 0.044715 * x * x * x);
-        const double ref = 0.5 * x * (1.0 + std::tanh(inner));
-        T_CHECK_CLOSE(geluScalar(x), ref, 1e-5);
-    }
+    // Edges: zero is exact; the tanh clamp drops NaN, so the outer
+    // 0.5 x must carry it; large |x| saturates exactly.
+    T_CHECK(geluScalar(0.0f) == 0.0f);
+    T_CHECK(std::isnan(geluScalar(NAN)));
+    T_CHECK(geluScalar(30.0f) == 30.0f);
+    T_CHECK(geluScalar(-30.0f) == 0.0f);
 
     Rng rng(0x6e1a);
     const Matrix a = Matrix::randn(7, 13, rng);
@@ -337,14 +349,6 @@ testTranscendentalApprox()
     T_CHECK(expApprox(-1e30f) >= 0.0f);
     T_CHECK(std::isfinite(tanhApprox(NAN)));
     T_CHECK(std::isfinite(expApprox(NAN)));
-
-    // geluApproxScalar tracks the exact tanh-GELU within the tanh
-    // bound scaled by |x| / 2 (the derivative of the outer form).
-    for (double x = -8.0; x <= 8.0; x += 3.3e-4) {
-        const double ref = (double)geluScalar((float)x);
-        const double err = std::fabs((double)geluApproxScalar((float)x) - ref);
-        T_CHECK(err <= 4e-7 * (1.0 + std::fabs(x) / 2.0));
-    }
 
     // The approx softmax is a softmax: rows sum to 1, entries positive,
     // and it tracks the exact softmax closely.

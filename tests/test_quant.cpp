@@ -38,12 +38,10 @@ avx2Here()
 struct ModeGuard
 {
     Gemm::Backend backend = Gemm::active();
-    Gemm::EpilogueMode epilogue = Gemm::epilogueMode();
     Gemm::QuantMode quant = Gemm::quantMode();
     ~ModeGuard()
     {
         Gemm::setActive(backend);
-        Gemm::setEpilogueMode(epilogue);
         Gemm::setQuantMode(quant);
     }
 };
@@ -343,11 +341,6 @@ unfusedReference(Matrix &dst, const QuantizedMatrix &qa,
         broadcastAddRowInto(product, product, *ep.bias);
     if (ep.act == Gemm::Epilogue::Act::Gelu)
         geluInto(product, product);
-    if (ep.act == Gemm::Epilogue::Act::GeluFast) {
-        for (size_t i = 0; i < product.rows(); ++i)
-            for (size_t j = 0; j < product.cols(); ++j)
-                product(i, j) = geluApproxScalar(product(i, j));
-    }
     if (ep.accumulate)
         addInto(dst, dst, product);
     else
@@ -360,9 +353,6 @@ unfusedReference(Matrix &dst, const QuantizedMatrix &qa,
 void
 testEpilogueParity()
 {
-    ModeGuard guard;
-    // The exact-GELU contract: the fast mode would rewrite Gelu.
-    Gemm::setEpilogueMode(Gemm::EpilogueMode::Fused);
     Rng rng(0xABC5);
     const size_t m = 17, n = 64, k = 33;
     Matrix a, b;
@@ -372,18 +362,13 @@ testEpilogueParity()
     const Matrix bias = Matrix::randn(1, n, rng, 0.0f, 0.3f);
     const Matrix seed = Matrix::randn(m, n, rng, 0.0f, 0.5f);
 
-    // An explicitly requested GeluFast act is honored in every
-    // epilogue mode, and on the AVX2 path it runs the geluApprox8
-    // vector program — the parity loop below pins it bitwise against
-    // the scalar backend's geluApproxScalar.
-    Gemm::Epilogue biasGeluFast = Gemm::Epilogue::withBiasGelu(bias);
-    biasGeluFast.act = Gemm::Epilogue::Act::GeluFast;
-
+    // On the AVX2 path the GELU runs the geluApprox8 vector program;
+    // the parity loop below pins it bitwise against geluInto and the
+    // scalar backend.
     const Gemm::Epilogue epilogues[] = {
         Gemm::Epilogue{},
         Gemm::Epilogue::withBias(bias),
         Gemm::Epilogue::withBiasGelu(bias),
-        biasGeluFast,
         Gemm::Epilogue::accumulateWithBias(bias),
     };
     std::vector<Gemm::Backend> backends{Gemm::Backend::Scalar};

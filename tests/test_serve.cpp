@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -211,18 +212,18 @@ testRuntimeOptionsResolution()
     // Nested guards unwind in order.
     {
         RuntimeOptions outer;
-        outer.epilogueMode = Gemm::EpilogueMode::FusedFast;
+        outer.quantMode = Gemm::QuantMode::Int8;
         RuntimeOptions::Scoped s1(outer);
-        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::FusedFast);
+        T_CHECK(Gemm::quantMode() == Gemm::QuantMode::Int8);
         {
             RuntimeOptions inner;
-            inner.epilogueMode = Gemm::EpilogueMode::Fused;
+            inner.quantMode = Gemm::QuantMode::Off;
             RuntimeOptions::Scoped s2(inner);
-            T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::Fused);
+            T_CHECK(Gemm::quantMode() == Gemm::QuantMode::Off);
         }
-        T_CHECK(Gemm::epilogueMode() == Gemm::EpilogueMode::FusedFast);
+        T_CHECK(Gemm::quantMode() == Gemm::QuantMode::Int8);
     }
-    T_CHECK(Gemm::epilogueMode() == *cur.epilogueMode);
+    T_CHECK(Gemm::quantMode() == *cur.quantMode);
 
     // Unavailable backend: apply throws, nothing half-applied.
     if (!Gemm::available(Gemm::Backend::Avx2)) {
@@ -244,11 +245,6 @@ testRuntimeOptionsResolution()
 void
 testParseHelpers()
 {
-    T_CHECK(Gemm::parseEpilogueMode("fused") ==
-            Gemm::EpilogueMode::Fused);
-    T_CHECK(Gemm::parseEpilogueMode("fast") ==
-            Gemm::EpilogueMode::FusedFast);
-    T_CHECK(!Gemm::parseEpilogueMode("bogus"));
     T_CHECK(parseSparseExec("csr") == SparseExec::Csr);
     T_CHECK(parseSparseExec("dense") == SparseExec::Dense);
     T_CHECK(!parseSparseExec("bogus"));
@@ -436,10 +432,17 @@ testSubmitShapeValidation()
     DynamicBatcher batcher(encoder, pool, BatchPolicy{});
     // Token-count-incompatible inputs get the typed BadRequest at the
     // ingress: too many rows, zero rows, or a wrong embedding width.
+    // So do non-finite tokens, in every build (a checked build would
+    // otherwise abort in the encoder's finite-input contract).
     const Matrix tooTall(cfg.tokens + 1, cfg.dModel);
     const Matrix zeroRows(0, cfg.dModel);
     const Matrix wrongCols(cfg.tokens, cfg.dModel + 1);
-    for (const Matrix *bad : {&tooTall, &zeroRows, &wrongCols}) {
+    Matrix withNan(cfg.tokens, cfg.dModel), withInf(2, cfg.dModel);
+    withNan(cfg.tokens / 2, 3) = std::numeric_limits<float>::quiet_NaN();
+    withInf(1, cfg.dModel - 1) = std::numeric_limits<float>::infinity();
+    const Matrix *bads[] = {&tooTall, &zeroRows, &wrongCols, &withNan,
+                            &withInf};
+    for (const Matrix *bad : bads) {
         try {
             batcher.submit(*bad);
             T_CHECK(false && "submit accepted an incompatible input");
